@@ -12,7 +12,8 @@
 //! suffer strictly lower p99 downtime than naive firing.
 
 use agile_bench::{write_csv, Args};
-use agile_cluster::scenario::diurnal::{self, DiurnalConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::diurnal::DiurnalConfig;
 
 fn main() {
     let args = Args::parse();
@@ -26,11 +27,11 @@ fn main() {
         trace: true,
         ..DiurnalConfig::default()
     };
-    let naive = diurnal::run(&DiurnalConfig {
+    let naive = scenario::run(&DiurnalConfig {
         predict: false,
         ..base.clone()
     });
-    let predicted = diurnal::run(&DiurnalConfig {
+    let predicted = scenario::run(&DiurnalConfig {
         predict: true,
         ..base.clone()
     });

@@ -15,6 +15,7 @@
 
 use agile_bench::{write_csv, Args};
 use agile_cluster::config::WssEstimatorKind;
+use agile_cluster::scenario;
 use agile_cluster::scenario::estimators::{self, EstimatorsConfig};
 
 fn main() {
@@ -29,11 +30,11 @@ fn main() {
         trace: true,
         ..EstimatorsConfig::default()
     };
-    let swap = estimators::run(&EstimatorsConfig {
+    let swap = scenario::run(&EstimatorsConfig {
         estimator: WssEstimatorKind::SwapIo,
         ..base.clone()
     });
-    let pml = estimators::run(&EstimatorsConfig {
+    let pml = scenario::run(&EstimatorsConfig {
         estimator: WssEstimatorKind::Pml,
         ..base.clone()
     });

@@ -10,7 +10,8 @@
 //! `MULTIHOST_trace.jsonl` (CI runs this twice and diffs the outputs).
 
 use agile_bench::{write_csv, Args};
-use agile_cluster::scenario::multihost::{self, MultihostConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::multihost::MultihostConfig;
 
 fn main() {
     let args = Args::parse();
@@ -18,7 +19,7 @@ fn main() {
     let seed = args.get("seed").unwrap_or(42);
     let out = args.out_dir();
 
-    let r = multihost::run(&MultihostConfig {
+    let r = scenario::run(&MultihostConfig {
         scale,
         seed,
         trace: true,

@@ -10,7 +10,8 @@
 //! `PRESSURE_trace.jsonl` (CI runs this twice and diffs the outputs).
 
 use agile_bench::{write_csv, Args};
-use agile_cluster::scenario::pressure::{self, PressureConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::pressure::PressureConfig;
 
 fn main() {
     let args = Args::parse();
@@ -18,7 +19,7 @@ fn main() {
     let seed = args.get("seed").unwrap_or(42);
     let out = args.out_dir();
 
-    let r = pressure::run(&PressureConfig {
+    let r = scenario::run(&PressureConfig {
         scale,
         seed,
         trace: true,

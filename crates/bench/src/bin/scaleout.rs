@@ -16,6 +16,7 @@
 //! hydration that precopy pays up front.
 
 use agile_bench::{write_csv, Args};
+use agile_cluster::scenario;
 use agile_cluster::scenario::scaleout::{self, CloneArm, ScaleoutConfig};
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
             ..ScaleoutConfig::default()
         })
         .collect();
-    let results = scaleout::run_replicated(&cfgs, workers);
+    let results = scenario::run_replicated(&cfgs, workers);
     let (s, p) = (&results[0], &results[1]);
 
     let mut report = String::new();

@@ -14,6 +14,7 @@
 //! p99, at the scarce end the far-memory stack wins — the curves cross.
 
 use agile_bench::{write_csv, Args};
+use agile_cluster::scenario;
 use agile_cluster::scenario::tiers::{self, TierArm, TiersResult};
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     let out = args.out_dir();
 
     let cfgs = tiers::sweep(scale, seed);
-    let results = tiers::run_replicated(&cfgs, workers);
+    let results = scenario::run_replicated(&cfgs, workers);
 
     let mut report = String::new();
     for r in &results {

@@ -12,6 +12,12 @@
 //! tests use `scale = 32`+ so they run in milliseconds. Scaling divides
 //! every byte quantity, which preserves the *ratios* that drive the
 //! qualitative results.
+//!
+//! The extension scenarios that run until a settle predicate holds
+//! (`multihost`, `pressure`, `diurnal`, `estimators`, `tiers`,
+//! `scaleout`) implement [`Scenario`] and are driven by the one generic
+//! driver: [`run`] for a single config, [`run_replicated`] for several
+//! independent configs as shards of one parallel epoch harness.
 
 pub mod chaos;
 pub mod datacenter;
@@ -26,11 +32,64 @@ pub mod tiers;
 pub mod wss;
 pub mod ycsb;
 
-use agile_sim_core::{SimTime, Simulation};
+use agile_sim_core::{SimDuration, SimTime, Simulation};
 use agile_workload::Signal;
 
 use crate::guest::{charge_evictions, EvictTarget};
+use crate::shard::{NullCoordinator, ShardedRun};
 use crate::world::{WorkloadKind, World};
+
+/// A scenario the generic driver can run: build a world, advance it in
+/// 5-second slices until [`Scenario::done`] holds at a slice boundary or
+/// the deadline is reached, then fold the final world into a result.
+pub trait Scenario {
+    /// What `setup` hands on to `done` and `finish`.
+    type Meta;
+    /// The deterministic outcome of one run.
+    type Result;
+    /// Build and arm the world.
+    fn setup(&self) -> (Simulation<World>, Self::Meta);
+    /// The hard end of the run.
+    fn deadline(&self) -> SimTime;
+    /// Whether the run may stop before its deadline, evaluated at every
+    /// slice boundary.
+    fn done(sim: &Simulation<World>, meta: &Self::Meta) -> bool;
+    /// Disarm the controllers and assemble the result.
+    fn finish(&self, sim: Simulation<World>, meta: Self::Meta) -> Self::Result;
+}
+
+/// Run one scenario. This is the one-shard case of [`run_replicated`]:
+/// the epoch targets are the 5-second slice boundaries, no coordinator
+/// message is ever scheduled, the shard id stays 0, and no thread is
+/// spawned.
+pub fn run<S: Scenario>(cfg: &S) -> S::Result {
+    let mut results = run_replicated(std::slice::from_ref(cfg), 1);
+    results.pop().expect("one shard, one result")
+}
+
+/// Run several independent scenarios as shards of one parallel epoch
+/// harness (lookahead = the 5-second slice). Every result is
+/// byte-identical to [`run`] of its config at any `workers` count.
+pub fn run_replicated<S: Scenario>(cfgs: &[S], workers: usize) -> Vec<S::Result> {
+    assert!(!cfgs.is_empty());
+    let deadline = cfgs[0].deadline();
+    assert!(
+        cfgs.iter().all(|c| c.deadline() == deadline),
+        "replicated runs share one deadline (epoch targets must coincide)"
+    );
+    let (worlds, metas): (Vec<_>, Vec<_>) = cfgs.iter().map(S::setup).unzip();
+    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
+    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
+        S::done(sim, &metas[i])
+    });
+    sharded
+        .into_worlds()
+        .into_iter()
+        .zip(cfgs)
+        .zip(metas)
+        .map(|((sim, cfg), meta)| cfg.finish(sim, meta))
+        .collect()
+}
 
 /// Schedule piecewise-constant [`Signal`]s as discrete DES events.
 ///
@@ -168,4 +227,26 @@ pub fn set_ycsb_active_bytes(sim: &mut Simulation<World>, vm_idx: usize, bytes: 
     } else {
         panic!("VM {vm_idx} does not run YCSB");
     }
+}
+
+/// Poll once a second until migration `mig` finishes, then re-balance the
+/// source host.
+pub(crate) fn watch_completion(
+    sim: &mut Simulation<World>,
+    mig: usize,
+    src_host: usize,
+    slack: u64,
+) {
+    sim.schedule_every(
+        sim.now() + SimDuration::from_secs(1),
+        SimDuration::from_secs(1),
+        move |sim| {
+            if sim.state().migrations[mig].finished {
+                rebalance_host(sim, src_host, slack);
+                false
+            } else {
+                true
+            }
+        },
+    );
 }

@@ -27,11 +27,11 @@
 //! Every guest major fault — local writeback hit, remote DRAM, SSD, or
 //! far-memory read — lands in one [`FixedHistogram`] through the single
 //! completion funnel, so the histograms are directly comparable across
-//! arms and byte-deterministic at any worker count ([`run_replicated`]
+//! arms and byte-deterministic at any worker count ([`super::run_replicated`]
 //! drives the same worlds through the sharded epoch harness).
 
 use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{FixedHistogram, SimDuration, SimTime, Simulation, GIB, MIB};
+use agile_sim_core::{FixedHistogram, Fnv1a, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_vmd::{HeatPolicy, TierCapacity, TierSpec, TierStackConfig};
 
@@ -39,7 +39,7 @@ use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::guest;
 use crate::migrate;
-use crate::shard::{NullCoordinator, ShardedRun};
+use crate::scenario::Scenario;
 use crate::world::{OpExec, World};
 
 /// Which spill stack backs a sweep point.
@@ -170,20 +170,6 @@ pub struct TiersResult {
     pub events_executed: u64,
 }
 
-/// A built tier-sweep world, ready for the sequential or sharded driver.
-struct TiersSetup {
-    sim: Simulation<World>,
-    deadline: SimTime,
-}
-
-/// The settle predicate at every 5-second boundary: migration done and
-/// every swap I/O drained, or out of time.
-fn settled(sim: &Simulation<World>, deadline: SimTime) -> bool {
-    let w = sim.state();
-    let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-    (mig_done && w.swap_reqs.is_empty() && w.chaos.repair_queue.is_empty()) || sim.now() >= deadline
-}
-
 /// One scripted-scan touch: a write sweeping the spilled pfn range. The
 /// chain stops once the migration finished (so in-flight swap I/O can
 /// drain) and skips touches while the VM cannot execute (suspension).
@@ -220,231 +206,198 @@ fn scan_tick(sim: &mut Simulation<World>, vm: usize, range: u32, cursor: u32, pe
     });
 }
 
-/// Build one sweep point: the tier stack, the over-committed VM, the
-/// armed histogram, the scripted scan, and the scheduled migration.
-fn setup(cfg: &TiersConfig) -> TiersSetup {
-    let sc = cfg.scale.max(1);
-    let host_mem = cfg.host_mem / sc;
-    let vm_mem = cfg.vm_mem / sc;
-    let host_os = 128 * MIB / sc;
-    let guest_os = 128 * MIB / sc;
-    let reservation = (host_mem - host_os).min(vm_mem);
+impl Scenario for TiersConfig {
+    type Meta = ();
+    type Result = TiersResult;
 
-    let mut cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    // The VM's spilled state: everything its reservation cannot hold.
-    let spill_pages = (vm_mem.saturating_sub(reservation) / page).max(1);
-    let dram_pages = (spill_pages * cfg.dram_pct / 100).max(2);
-    let spill_tier = |spec: TierSpec| -> Vec<TierSpec> {
-        if cfg.split_spill {
-            // Two equal-cost halves of the same spill capacity; the
-            // cost-ordered placement must make this invisible.
-            let mut half = spec;
-            half.capacity = TierCapacity::Pages(2 * spill_pages);
-            vec![half, half]
-        } else {
-            let mut whole = spec;
-            whole.capacity = TierCapacity::Pages(4 * spill_pages);
-            vec![whole]
-        }
-    };
-    let (spill_specs, mem_bytes) = match cfg.arm {
-        TierArm::ScarceDram => (spill_tier(TierSpec::host_ssd()), dram_pages * page),
-        TierArm::FarMemory => (
-            // ~2 µs CXL load/store latency + 4 KiB at 16 GiB/s.
-            spill_tier(TierSpec::far_memory(
-                0, // capacity overridden by spill_tier
-                SimDuration::from_micros(2),
-                16 << 30,
-                page,
-            )),
-            (dram_pages / 4).max(1) * page,
-        ),
-    };
-    let mut tiers = vec![TierSpec::dram()];
-    tiers.extend(spill_specs);
-    cluster_cfg.vmd_tiers = TierStackConfig::new(&tiers, HeatPolicy::heat_driven());
+    /// Build one sweep point: the tier stack, the over-committed VM, the
+    /// armed histogram, the scripted scan, and the scheduled migration.
+    fn setup(&self) -> (Simulation<World>, Self::Meta) {
+        let sc = self.scale.max(1);
+        let host_mem = self.host_mem / sc;
+        let vm_mem = self.vm_mem / sc;
+        let host_os = 128 * MIB / sc;
+        let guest_os = 128 * MIB / sc;
+        let reservation = (host_mem - host_os).min(vm_mem);
 
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let im = b.add_host("intermediate", 64 * GIB / sc, host_os, true);
-    b.add_vmd_server(im, mem_bytes, 0);
-    b.ensure_vmd_client(dst_host);
-
-    let vm = b.add_vm(
-        src_host,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: reservation,
-            guest_os_bytes: guest_os,
-        },
-        SwapKind::PerVmVmd,
-    );
-    b.preload_pages(vm, 0, (vm_mem / page) as u32);
-
-    let mut sim = b.build();
-    sim.state_mut().fault_hist = Some(Box::new(FixedHistogram::new()));
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-
-    // The scripted write scan over the spilled range: every touch is a
-    // major fault through the tier stack, every fault-in evicts a
-    // recently-dirtied page back into it.
-    let scan_range = spill_pages as u32;
-    let period = SimDuration::from_micros(cfg.scan_period_us.max(1));
-    sim.schedule_at(SimTime::from_secs(1) + period, move |sim| {
-        scan_tick(sim, vm, scan_range, 0, period);
-    });
-
-    sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[vm].vm.config().mem_bytes)
+        let mut cluster_cfg = ClusterConfig {
+            seed: self.seed,
+            ..ClusterConfig::default()
         };
-        // Round-capped pre-copy: one warm-up pass, then stop-and-copy.
-        // The final pass pulls dirtied-then-evicted pages back through
-        // the tier stack while the VM is suspended.
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: 64,
-            precopy_max_rounds: 1,
-            ..SourceConfig::new(Technique::PreCopy)
+        let page = cluster_cfg.page_size;
+        // The VM's spilled state: everything its reservation cannot hold.
+        let spill_pages = (vm_mem.saturating_sub(reservation) / page).max(1);
+        let dram_pages = (spill_pages * self.dram_pct / 100).max(2);
+        let spill_tier = |spec: TierSpec| -> Vec<TierSpec> {
+            if self.split_spill {
+                // Two equal-cost halves of the same spill capacity; the
+                // cost-ordered placement must make this invisible.
+                let mut half = spec;
+                half.capacity = TierCapacity::Pages(2 * spill_pages);
+                vec![half, half]
+            } else {
+                let mut whole = spec;
+                whole.capacity = TierCapacity::Pages(4 * spill_pages);
+                vec![whole]
+            }
         };
-        migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
-    });
+        let (spill_specs, mem_bytes) = match self.arm {
+            TierArm::ScarceDram => (spill_tier(TierSpec::host_ssd()), dram_pages * page),
+            TierArm::FarMemory => (
+                // ~2 µs CXL load/store latency + 4 KiB at 16 GiB/s.
+                spill_tier(TierSpec::far_memory(
+                    0, // capacity overridden by spill_tier
+                    SimDuration::from_micros(2),
+                    16 << 30,
+                    page,
+                )),
+                (dram_pages / 4).max(1) * page,
+            ),
+        };
+        let mut tiers = vec![TierSpec::dram()];
+        tiers.extend(spill_specs);
+        cluster_cfg.vmd_tiers = TierStackConfig::new(&tiers, HeatPolicy::heat_driven());
 
-    TiersSetup {
-        sim,
-        deadline: SimTime::from_secs(cfg.deadline_secs),
+        let mut b = ClusterBuilder::new(cluster_cfg);
+        let src_host = b.add_host("source", host_mem, host_os, true);
+        let dst_host = b.add_host("dest", host_mem, host_os, true);
+        let im = b.add_host("intermediate", 64 * GIB / sc, host_os, true);
+        b.add_vmd_server(im, mem_bytes, 0);
+        b.ensure_vmd_client(dst_host);
+
+        let vm = b.add_vm(
+            src_host,
+            VmConfig {
+                mem_bytes: vm_mem,
+                page_size: page,
+                vcpus: 2,
+                reservation_bytes: reservation,
+                guest_os_bytes: guest_os,
+            },
+            SwapKind::PerVmVmd,
+        );
+        b.preload_pages(vm, 0, (vm_mem / page) as u32);
+
+        let mut sim = b.build();
+        sim.state_mut().fault_hist = Some(Box::new(FixedHistogram::new()));
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+
+        // The scripted write scan over the spilled range: every touch is a
+        // major fault through the tier stack, every fault-in evicts a
+        // recently-dirtied page back into it.
+        let scan_range = spill_pages as u32;
+        let period = SimDuration::from_micros(self.scan_period_us.max(1));
+        sim.schedule_at(SimTime::from_secs(1) + period, move |sim| {
+            scan_tick(sim, vm, scan_range, 0, period);
+        });
+
+        sim.schedule_at(SimTime::from_secs(self.warmup_secs), move |sim| {
+            let dest_resv = {
+                let w = sim.state();
+                w.hosts[dst_host]
+                    .mem
+                    .available_for_vms()
+                    .min(w.vms[vm].vm.config().mem_bytes)
+            };
+            // Round-capped pre-copy: one warm-up pass, then stop-and-copy.
+            // The final pass pulls dirtied-then-evicted pages back through
+            // the tier stack while the VM is suspended.
+            let src_cfg = SourceConfig {
+                precopy_threshold_pages: 64,
+                precopy_max_rounds: 1,
+                ..SourceConfig::new(Technique::PreCopy)
+            };
+            migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
+        });
+
+        (sim, ())
     }
-}
 
-/// Run one tier-sweep point sequentially.
-pub fn run(cfg: &TiersConfig) -> TiersResult {
-    let TiersSetup { mut sim, deadline } = setup(cfg);
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        if settled(&sim, deadline) {
-            break;
+    fn deadline(&self) -> SimTime {
+        SimTime::from_secs(self.deadline_secs)
+    }
+
+    /// Migration done and every swap I/O and repair drained.
+    fn done(sim: &Simulation<World>, _meta: &()) -> bool {
+        let w = sim.state();
+        let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
+        mig_done && w.swap_reqs.is_empty() && w.chaos.repair_queue.is_empty()
+    }
+
+    /// Assemble the deterministic per-point result.
+    fn finish(&self, sim: Simulation<World>, _meta: ()) -> TiersResult {
+        let events_executed = sim.events_executed();
+        let w = sim.state();
+        let finished = w.migrations.first().map(|m| m.finished).unwrap_or(false);
+        let metrics = w.migrations[0].src.metrics();
+        let migration_ns = metrics
+            .total_time()
+            .map(|d| d.as_nanos())
+            .unwrap_or(u64::MAX);
+        let downtime_ns = metrics.downtime().map(|d| d.as_nanos()).unwrap_or(u64::MAX);
+        let hist = w.fault_hist.as_deref().expect("histogram armed in setup");
+        let server = &w.vmd.servers[0].server;
+        let tier_pages: Vec<u64> = (0..server.tier_count())
+            .map(|t| server.tier_used_pages(t as u8))
+            .collect();
+
+        let mut h = Fnv1a::new();
+        for &b in hist.buckets() {
+            h.write_u64(b);
         }
-    }
-    finish(sim, cfg)
-}
+        h.write_u64(hist.max_ns());
+        let digest = h.finish();
 
-/// Run several sweep points as shards of one parallel epoch harness
-/// (lookahead = the sequential driver's 5-second slice). Every point's
-/// result is byte-identical to [`run`] at any `workers` count.
-pub fn run_replicated(cfgs: &[TiersConfig], workers: usize) -> Vec<TiersResult> {
-    assert!(!cfgs.is_empty());
-    assert!(
-        cfgs.iter()
-            .all(|c| c.deadline_secs == cfgs[0].deadline_secs),
-        "replicated runs share one deadline (epoch targets must coincide)"
-    );
-    let mut worlds = Vec::with_capacity(cfgs.len());
-    let mut deadlines = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let s = setup(cfg);
-        deadlines.push(s.deadline);
-        worlds.push(s.sim);
-    }
-    let deadline = deadlines[0];
-    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
-    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
-        settled(sim, deadlines[i])
-    });
-    sharded
-        .into_worlds()
-        .into_iter()
-        .zip(cfgs)
-        .map(|(sim, cfg)| finish(sim, cfg))
-        .collect()
-}
+        let faults = hist.count();
+        let fault_mean_ns = hist.sum_ns() / faults.max(1);
+        let fault_p50_ns = hist.quantile_ceil_ns(50.0);
+        let fault_p99_ns = hist.quantile_ceil_ns(99.0);
+        let fault_max_ns = hist.max_ns();
 
-/// Assemble the deterministic per-point result.
-fn finish(sim: Simulation<World>, cfg: &TiersConfig) -> TiersResult {
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    let finished = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-    let metrics = w.migrations[0].src.metrics();
-    let migration_ns = metrics
-        .total_time()
-        .map(|d| d.as_nanos())
-        .unwrap_or(u64::MAX);
-    let downtime_ns = metrics.downtime().map(|d| d.as_nanos()).unwrap_or(u64::MAX);
-    let hist = w.fault_hist.as_deref().expect("histogram armed in setup");
-    let server = &w.vmd.servers[0].server;
-    let tier_pages: Vec<u64> = (0..server.tier_count())
-        .map(|t| server.tier_used_pages(t as u8))
-        .collect();
+        let mut report = String::new();
+        {
+            use std::fmt::Write;
+            let _ = writeln!(
+                report,
+                "# tiers arm={} dram_pct={} split={} scale={} seed={}",
+                self.arm.label(),
+                self.dram_pct,
+                self.split_spill,
+                self.scale.max(1),
+                self.seed,
+            );
+            let _ = writeln!(
+                report,
+                "migration: finished={finished} total_ns={migration_ns} downtime_ns={downtime_ns} \
+                 bytes={}",
+                metrics.migration_bytes,
+            );
+            let _ = writeln!(
+                report,
+                "faults: n={faults} mean_ns={fault_mean_ns} p50_ns={fault_p50_ns} \
+                 p99_ns={fault_p99_ns} max_ns={fault_max_ns}",
+            );
+            let _ = writeln!(
+                report,
+                "tiers: pages={tier_pages:?} hist_digest={digest:#018x} \
+                 events_executed={events_executed}",
+            );
+        }
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &b in hist.buckets() {
-        fold(b);
-    }
-    fold(hist.max_ns());
-
-    let faults = hist.count();
-    let fault_mean_ns = hist.sum_ns() / faults.max(1);
-    let fault_p50_ns = hist.quantile_ceil_ns(50.0);
-    let fault_p99_ns = hist.quantile_ceil_ns(99.0);
-    let fault_max_ns = hist.max_ns();
-
-    let mut report = String::new();
-    {
-        use std::fmt::Write;
-        let _ = writeln!(
+        TiersResult {
             report,
-            "# tiers arm={} dram_pct={} split={} scale={} seed={}",
-            cfg.arm.label(),
-            cfg.dram_pct,
-            cfg.split_spill,
-            cfg.scale.max(1),
-            cfg.seed,
-        );
-        let _ = writeln!(
-            report,
-            "migration: finished={finished} total_ns={migration_ns} downtime_ns={downtime_ns} \
-             bytes={}",
-            metrics.migration_bytes,
-        );
-        let _ = writeln!(
-            report,
-            "faults: n={faults} mean_ns={fault_mean_ns} p50_ns={fault_p50_ns} \
-             p99_ns={fault_p99_ns} max_ns={fault_max_ns}",
-        );
-        let _ = writeln!(
-            report,
-            "tiers: pages={tier_pages:?} hist_digest={digest:#018x} \
-             events_executed={events_executed}",
-        );
-    }
-
-    TiersResult {
-        report,
-        finished,
-        migration_ns,
-        downtime_ns,
-        migration_bytes: metrics.migration_bytes,
-        faults,
-        fault_mean_ns,
-        fault_p50_ns,
-        fault_p99_ns,
-        fault_max_ns,
-        tier_pages,
-        hist_digest: digest,
-        events_executed,
+            finished,
+            migration_ns,
+            downtime_ns,
+            migration_bytes: metrics.migration_bytes,
+            faults,
+            fault_mean_ns,
+            fault_p50_ns,
+            fault_p99_ns,
+            fault_max_ns,
+            tier_pages,
+            hist_digest: digest,
+            events_executed,
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! read-queueing model the hydration burst leans on.
 
 use agile_cluster::build::{ClusterBuilder, SwapKind};
-use agile_cluster::scenario::scaleout::{self, CloneArm, ScaleoutConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::scaleout::{CloneArm, ScaleoutConfig};
 use agile_cluster::ClusterConfig;
 use agile_sim_core::{FixedHistogram, SimDuration, SimTime, GIB, MIB};
 use agile_vm::VmConfig;
@@ -26,15 +27,15 @@ fn small(arm: CloneArm) -> ScaleoutConfig {
 /// digest, event count and every metric.
 #[test]
 fn golden_run_twice_byte_identical() {
-    let a = scaleout::run(&small(CloneArm::Streamed));
-    let b = scaleout::run(&small(CloneArm::Streamed));
+    let a = scenario::run(&small(CloneArm::Streamed));
+    let b = scenario::run(&small(CloneArm::Streamed));
     assert_eq!(a, b);
     assert_eq!(a.spawned, 8);
     assert_eq!(a.ready, 8);
     assert_eq!(a.torn_down, 8);
 }
 
-/// The sharded epoch driver reproduces the sequential results exactly at
+/// The sharded epoch driver reproduces the solo results exactly at
 /// every worker count, and the in-run A/B gates hold at test scale:
 /// streamed cloning serves first pages sooner and moves fewer fabric
 /// bytes than precopy, while both arms break CoW shares once the clones
@@ -42,12 +43,12 @@ fn golden_run_twice_byte_identical() {
 #[test]
 fn sharded_matches_sequential_and_streaming_wins() {
     let cfgs = [small(CloneArm::Streamed), small(CloneArm::Precopy)];
-    let seq: Vec<_> = cfgs.iter().map(scaleout::run).collect();
+    let solo: Vec<_> = cfgs.iter().map(scenario::run).collect();
     for workers in [1, 2, 4] {
-        let sharded = scaleout::run_replicated(&cfgs, workers);
-        assert_eq!(sharded, seq, "sharded divergence at {workers} workers");
+        let sharded = scenario::run_replicated(&cfgs, workers);
+        assert_eq!(sharded, solo, "sharded divergence at {workers} workers");
     }
-    let (s, p) = (&seq[0], &seq[1]);
+    let (s, p) = (&solo[0], &solo[1]);
     assert_eq!(s.ready, 8);
     assert_eq!(p.ready, 8);
     assert!(
@@ -84,7 +85,7 @@ fn chaos_replica_crash_mid_hydration_loses_nothing() {
         chaos: true,
         ..small(CloneArm::Streamed)
     };
-    let r = scaleout::run(&cfg);
+    let r = scenario::run(&cfg);
     assert_eq!(r.lost_reads, 0, "k=2 replication must mask the crash");
     assert_eq!(r.ready, 8, "every clone must still serve");
     assert_eq!(r.torn_down, 8, "every clone must still tear down");
@@ -100,7 +101,7 @@ fn upgrade_retires_master_namespace_in_place() {
         upgrade: true,
         ..small(CloneArm::Streamed)
     };
-    let r = scaleout::run(&cfg);
+    let r = scenario::run(&cfg);
     assert!(r.master_purged, "upgrade must retire the master namespace");
     assert_eq!(r.ready, 8);
     assert_eq!(r.torn_down, 8);

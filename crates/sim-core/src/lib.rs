@@ -32,6 +32,7 @@
 
 pub mod blockdev;
 pub mod event;
+pub mod fnv;
 pub mod net;
 pub mod rng;
 pub mod stats;
@@ -40,6 +41,7 @@ pub mod units;
 
 pub use blockdev::{BlockDevice, BlockDeviceSpec, IoCounters, IoKind};
 pub use event::{EventId, FastEvent, Simulation};
+pub use fnv::{Fnv1a, FnvHasher, StreamHash};
 pub use net::{ChannelId, Delivery, Network, NodeId, RackId, SegmentId};
 pub use rng::{DetRng, SeedSequence};
 pub use stats::{

@@ -419,20 +419,6 @@ impl Network {
         self.nodes[n.0].counters.rx_bytes
     }
 
-    /// Debug snapshot: `(channel index, src, dst, rate B/s, queued bytes)`
-    /// for every channel with queued data.
-    pub fn debug_active_channels(&self) -> Vec<(usize, usize, usize, f64, u64)> {
-        self.channels
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_active())
-            .map(|(i, c)| {
-                let queued: u64 = c.queue.iter().map(|s| s.remaining.ceil() as u64).sum();
-                (i, c.src.0, c.dst.0, c.rate, queued)
-            })
-            .collect()
-    }
-
     /// The earliest instant at which a delivery or serialization completion
     /// will occur, or `None` if the network is quiescent.
     pub fn next_event_time(&self) -> Option<SimTime> {

@@ -7,6 +7,8 @@
 //! one component's draw pattern does not perturb any other component's
 //! stream.
 
+use crate::StreamHash;
+
 /// SplitMix64 step — used to derive independent stream seeds from a master
 /// seed. This is the standard seed-sequencing construction from Steele et
 /// al., "Fast Splittable Pseudorandom Number Generators" (OOPSLA 2014).
@@ -41,14 +43,13 @@ impl SeedSequence {
     }
 
     /// Derive the seed for a labelled stream. The label is hashed with
-    /// FNV-1a and mixed with the master seed through SplitMix64.
+    /// [`StreamHash`] and mixed with the master seed through SplitMix64.
     pub fn stream_seed(&self, label: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+        let mut h = StreamHash::new();
+        for &b in label.as_bytes() {
+            h.write_u64(u64::from(b));
         }
-        let mut state = self.master ^ h;
+        let mut state = self.master ^ h.finish();
         // Two rounds so that closely-related labels decorrelate fully.
         splitmix64(&mut state);
         splitmix64(&mut state)

@@ -8,7 +8,7 @@
 //! database keys, and what makes a Zipfian working set touch pages all over
 //! the dataset rather than one hot prefix.
 
-use agile_sim_core::DetRng;
+use agile_sim_core::{DetRng, StreamHash};
 
 /// Default YCSB skew constant.
 pub const YCSB_ZIPFIAN_CONSTANT: f64 = 0.99;
@@ -32,15 +32,14 @@ fn zeta(n: u64, theta: f64) -> f64 {
     sum
 }
 
-/// FNV-1a 64-bit, used for rank scrambling.
+/// [`StreamHash`] over the rank's eight bytes, used for rank scrambling.
 #[inline]
 fn fnv1a(x: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = StreamHash::new();
     for shift in (0..64).step_by(8) {
-        h ^= (x >> shift) & 0xff;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h.write_u64((x >> shift) & 0xff);
     }
-    h
+    h.finish()
 }
 
 impl Zipfian {

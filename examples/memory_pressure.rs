@@ -7,7 +7,8 @@
 //! cargo run --release --example memory_pressure -- 16     # 1/16 scale
 //! ```
 
-use agile::cluster::scenario::pressure::{self, PressureConfig};
+use agile::cluster::scenario;
+use agile::cluster::scenario::pressure::PressureConfig;
 use agile::cluster::scenario::ycsb::{self, YcsbScenarioConfig};
 use agile::sim::fmt_bytes;
 use agile::Technique;
@@ -52,7 +53,7 @@ fn main() {
     // contributions. A skewed demand ramp halves the pool's capacity and
     // the elastic pool manager must relocate/demote every page.
     println!("\nelastic pool under donor-demand ramp (pool capacity halved):");
-    let p = pressure::run(&PressureConfig {
+    let p = scenario::run(&PressureConfig {
         scale,
         ..Default::default()
     });

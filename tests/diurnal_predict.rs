@@ -5,7 +5,8 @@
 //! naive watermark firing on the same seed. `BENCH_3.json` records the
 //! same comparison at the same scale.
 
-use agile_cluster::scenario::diurnal::{self, DiurnalConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::diurnal::DiurnalConfig;
 
 fn base() -> DiurnalConfig {
     DiurnalConfig {
@@ -18,11 +19,11 @@ fn base() -> DiurnalConfig {
 /// Trough-scheduled migrations beat naive firing on bytes AND downtime.
 #[test]
 fn predictor_beats_naive_on_bytes_and_downtime() {
-    let naive = diurnal::run(&DiurnalConfig {
+    let naive = scenario::run(&DiurnalConfig {
         predict: false,
         ..base()
     });
-    let predicted = diurnal::run(&DiurnalConfig {
+    let predicted = scenario::run(&DiurnalConfig {
         predict: true,
         ..base()
     });
@@ -80,8 +81,8 @@ fn predicted_run_is_deterministic() {
         trace: true,
         ..base()
     };
-    let a = diurnal::run(&cfg);
-    let b = diurnal::run(&cfg);
+    let a = scenario::run(&cfg);
+    let b = scenario::run(&cfg);
     assert_eq!(a.report, b.report);
     assert_eq!(a.trace_jsonl, b.trace_jsonl);
     assert_eq!(a.metrics_json, b.metrics_json);

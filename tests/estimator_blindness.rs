@@ -13,9 +13,10 @@
 //! seed.
 
 use agile_cluster::config::WssEstimatorKind;
-use agile_cluster::scenario::estimators::{self, EstimatorsConfig, EstimatorsResult};
+use agile_cluster::scenario;
+use agile_cluster::scenario::estimators::{EstimatorsConfig, EstimatorsResult};
 
-/// Scenario constants at scale 64 (mirrors `estimators::setup`).
+/// Scenario constants at scale 64 (mirrors `EstimatorsConfig::setup`).
 const SCALE: u64 = 64;
 const MIB: u64 = 1 << 20;
 /// Initial per-VM reservation grant.
@@ -30,7 +31,7 @@ const NO_SWAP_NS: u64 = 90 * 1_000_000_000;
 const TAU_KBPS: f64 = 4.0;
 
 fn run(estimator: WssEstimatorKind) -> EstimatorsResult {
-    estimators::run(&EstimatorsConfig {
+    scenario::run(&EstimatorsConfig {
         estimator,
         scale: SCALE,
         deadline_secs: 140,

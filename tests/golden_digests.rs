@@ -14,20 +14,21 @@
 
 use agile_chaos::{ChaosProfile, ChaosSchedule};
 use agile_cluster::config::WssEstimatorKind;
+use agile_cluster::scenario;
 use agile_cluster::scenario::chaos::{self, ChaosScenarioConfig};
 use agile_cluster::scenario::datacenter::{self, DatacenterConfig};
-use agile_cluster::scenario::diurnal::{self, DiurnalConfig};
-use agile_cluster::scenario::estimators::{self, EstimatorsConfig};
-use agile_cluster::scenario::multihost::{self, MultihostConfig};
-use agile_cluster::scenario::pressure::{self, PressureConfig};
-use agile_cluster::scenario::scaleout::{self, CloneArm, ScaleoutConfig};
+use agile_cluster::scenario::diurnal::DiurnalConfig;
+use agile_cluster::scenario::estimators::EstimatorsConfig;
+use agile_cluster::scenario::multihost::MultihostConfig;
+use agile_cluster::scenario::pressure::PressureConfig;
+use agile_cluster::scenario::scaleout::{CloneArm, ScaleoutConfig};
 use agile_cluster::scenario::single_vm::{self, SingleVmConfig};
 use agile_cluster::scenario::sysbench::{self, SysbenchScenarioConfig};
-use agile_cluster::scenario::tiers::{self, TierArm, TiersConfig};
+use agile_cluster::scenario::tiers::{TierArm, TiersConfig};
 use agile_cluster::scenario::wss::{self, WssScenarioConfig};
 use agile_cluster::scenario::ycsb::{self, YcsbScenarioConfig};
 use agile_migration::Technique;
-use agile_sim_core::{SeedSequence, SimTime, GIB};
+use agile_sim_core::{Fnv1a, SeedSequence, SimTime, GIB};
 
 /// `(scenario, events_executed, digest)`. `None` events: the result type
 /// does not report an event count.
@@ -68,21 +69,16 @@ struct Row {
 
 impl Row {
     fn new(name: impl Into<String>, events: Option<u64>, rendered: &str) -> Row {
+        let mut h = Fnv1a::new();
+        for &b in rendered.as_bytes() {
+            h.write_u64(u64::from(b));
+        }
         Row {
             name: name.into(),
             events,
-            digest: fnv1a(rendered.as_bytes()),
+            digest: h.finish(),
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Compare computed rows against [`GOLDEN`]; on any mismatch, panic with
@@ -228,7 +224,7 @@ fn chaos_generated_crash() {
 
 #[test]
 fn multihost_rebalance() {
-    let r = multihost::run(&MultihostConfig {
+    let r = scenario::run(&MultihostConfig {
         scale: 64,
         seed: 42,
         trace: true,
@@ -243,7 +239,7 @@ fn multihost_rebalance() {
 
 #[test]
 fn pressure_pool() {
-    let r = pressure::run(&PressureConfig {
+    let r = scenario::run(&PressureConfig {
         scale: 64,
         seed: 42,
         trace: true,
@@ -261,7 +257,7 @@ fn diurnal_naive_and_predicted() {
     let rows: Vec<Row> = [(false, "naive"), (true, "predicted")]
         .into_iter()
         .map(|(predict, label)| {
-            let r = diurnal::run(&DiurnalConfig {
+            let r = scenario::run(&DiurnalConfig {
                 predict,
                 scale: 64,
                 seed: 42,
@@ -286,7 +282,7 @@ fn estimators_arms() {
     ]
     .into_iter()
     .map(|(estimator, label)| {
-        let r = estimators::run(&EstimatorsConfig {
+        let r = scenario::run(&EstimatorsConfig {
             estimator,
             scale: 64,
             deadline_secs: 60,
@@ -308,7 +304,7 @@ fn tiers_points() {
     let rows: Vec<Row> = [(TierArm::ScarceDram, 60), (TierArm::FarMemory, 240)]
         .into_iter()
         .map(|(arm, dram_pct)| {
-            let r = tiers::run(&TiersConfig {
+            let r = scenario::run(&TiersConfig {
                 arm,
                 dram_pct,
                 scale: 64,
@@ -330,7 +326,7 @@ fn scaleout_arms() {
     let rows: Vec<Row> = [CloneArm::Streamed, CloneArm::Precopy]
         .into_iter()
         .map(|arm| {
-            let r = scaleout::run(&ScaleoutConfig {
+            let r = scenario::run(&ScaleoutConfig {
                 arm,
                 clones: 8,
                 dest_hosts: 2,

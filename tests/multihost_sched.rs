@@ -5,7 +5,8 @@
 //! end-to-end "one firing selects two VMs that migrate concurrently over
 //! a shared NIC" behavior.
 
-use agile_cluster::scenario::multihost::{self, MultihostConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::multihost::MultihostConfig;
 
 fn cfg(seed: u64) -> MultihostConfig {
     MultihostConfig {
@@ -20,8 +21,8 @@ fn cfg(seed: u64) -> MultihostConfig {
 /// zero ping-pong, under the concurrency cap, byte-identically per seed.
 #[test]
 fn multihost_rebalances_deterministically_without_pingpong() {
-    let a = multihost::run(&cfg(42));
-    let b = multihost::run(&cfg(42));
+    let a = scenario::run(&cfg(42));
+    let b = scenario::run(&cfg(42));
 
     // Golden: report + TRACE export + metrics byte-identical per seed.
     assert_eq!(a.report, b.report, "report diverged between identical runs");
@@ -77,8 +78,8 @@ fn one_firing_migrates_two_vms_concurrently_over_shared_nic() {
         vms: 4,
         ..cfg(seed)
     };
-    let a = multihost::run(&two_host(7));
-    let b = multihost::run(&two_host(7));
+    let a = scenario::run(&two_host(7));
+    let b = scenario::run(&two_host(7));
     assert_eq!(a.report, b.report, "report diverged between identical runs");
     assert_eq!(a.trace_jsonl, b.trace_jsonl);
 

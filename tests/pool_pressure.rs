@@ -5,7 +5,8 @@
 //! any reclaim/rebalance schedule at k = 1; and a server crash racing the
 //! reclaim pump must still lose nothing at k = 2.
 
-use agile_cluster::scenario::pressure::{self, PressureConfig};
+use agile_cluster::scenario;
+use agile_cluster::scenario::pressure::PressureConfig;
 
 fn cfg(seed: u64) -> PressureConfig {
     PressureConfig {
@@ -21,8 +22,8 @@ fn cfg(seed: u64) -> PressureConfig {
 /// and metrics exports are byte-identical across same-seed runs.
 #[test]
 fn reclaim_preserves_every_page_deterministically() {
-    let a = pressure::run(&cfg(42));
-    let b = pressure::run(&cfg(42));
+    let a = scenario::run(&cfg(42));
+    let b = scenario::run(&cfg(42));
 
     assert_eq!(a.report, b.report, "report diverged between identical runs");
     assert_eq!(
@@ -65,11 +66,11 @@ fn reclaim_preserves_every_page_deterministically() {
 /// strictly lower than with it off (same seed, same ramp).
 #[test]
 fn rebalancer_strictly_lowers_utilization_spread() {
-    let off = pressure::run(&PressureConfig {
+    let off = scenario::run(&PressureConfig {
         rebalance: false,
         ..cfg(42)
     });
-    let on = pressure::run(&cfg(42));
+    let on = scenario::run(&cfg(42));
 
     assert!(off.converged && on.converged);
     assert_eq!(off.lost_placements, 0);
@@ -112,7 +113,7 @@ fn conservation_holds_across_reclaim_schedules() {
             ..cfg(7)
         },
     ];
-    let results: Vec<_> = schedules.iter().map(pressure::run).collect();
+    let results: Vec<_> = schedules.iter().map(scenario::run).collect();
     for (i, r) in results.iter().enumerate() {
         assert!(r.converged, "schedule {i} never quiesced:\n{}", r.report);
         assert_eq!(r.lost_placements, 0, "schedule {i} lost slots");
@@ -129,7 +130,7 @@ fn conservation_holds_across_reclaim_schedules() {
     }
     // Replica order after relocations is deterministic: replaying the
     // most aggressive schedule reproduces the directory exactly.
-    let replay = pressure::run(&schedules[2]);
+    let replay = scenario::run(&schedules[2]);
     assert_eq!(replay.directory_digest, results[2].directory_digest);
     assert_eq!(replay.report, results[2].report);
 }
@@ -139,7 +140,7 @@ fn conservation_holds_across_reclaim_schedules() {
 /// loses a single placement.
 #[test]
 fn reclaim_racing_server_crash_loses_nothing() {
-    let r = pressure::run(&PressureConfig {
+    let r = scenario::run(&PressureConfig {
         crash_server: Some(1),
         crash_at_secs: 8,
         ..cfg(42)
@@ -164,7 +165,7 @@ fn reclaim_racing_server_crash_loses_nothing() {
         assert_eq!(total, expected, "ns{ns} under-replicated:\n{}", r.report);
     }
     // Determinism holds under chaos too.
-    let again = pressure::run(&PressureConfig {
+    let again = scenario::run(&PressureConfig {
         crash_server: Some(1),
         crash_at_secs: 8,
         ..cfg(42)
@@ -182,7 +183,7 @@ fn reclaim_racing_server_crash_loses_nothing() {
 fn cheap_spill_tier_flips_reclaim_from_relocate_to_demote() {
     use agile::sim::SimDuration;
     use agile::vmd::{HeatPolicy, TierSpec, TierStackConfig};
-    let legacy = pressure::run(&PressureConfig {
+    let legacy = scenario::run(&PressureConfig {
         rebalance: false,
         ..cfg(42)
     });
@@ -195,7 +196,7 @@ fn cheap_spill_tier_flips_reclaim_from_relocate_to_demote() {
 
     let far = TierSpec::far_memory(1 << 22, SimDuration::from_micros(2), 16 << 30, 4096);
     let tiers = TierStackConfig::new(&[TierSpec::dram(), far], HeatPolicy::heat_driven());
-    let tiered = pressure::run(&PressureConfig {
+    let tiered = scenario::run(&PressureConfig {
         rebalance: false,
         tiers,
         ..cfg(42)
@@ -229,7 +230,7 @@ fn cheap_spill_tier_flips_reclaim_from_relocate_to_demote() {
         tiered.report
     );
     // Determinism holds for tiered stacks too.
-    let again = pressure::run(&PressureConfig {
+    let again = scenario::run(&PressureConfig {
         rebalance: false,
         tiers,
         ..cfg(42)

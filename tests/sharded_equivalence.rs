@@ -1,19 +1,41 @@
-//! Sharded-vs-sequential equivalence: driving scenarios through the
+//! Sharded-vs-solo equivalence: driving scenarios as shards of the
 //! conservative epoch harness (`agile_cluster::shard`) must produce
-//! byte-identical results to the plain sequential drivers — at every
+//! byte-identical results to running each config alone — at every
 //! worker count. The `workers` knob maps shards to OS threads and
-//! nothing else; these tests are the contract.
+//! nothing else; these tests are the contract. (A solo run is the
+//! one-shard case of the same driver; `tests/golden_digests.rs` pins it
+//! to the historical sequential loop's output.)
+
+use std::fmt::Debug;
 
 use agile_cluster::config::WssEstimatorKind;
 use agile_cluster::scenario::datacenter::{self, DatacenterConfig};
-use agile_cluster::scenario::diurnal::{self, DiurnalConfig};
-use agile_cluster::scenario::estimators::{self, EstimatorsConfig};
-use agile_cluster::scenario::multihost::{self, MultihostConfig};
-use agile_cluster::scenario::pressure::{self, PressureConfig};
+use agile_cluster::scenario::diurnal::DiurnalConfig;
+use agile_cluster::scenario::estimators::EstimatorsConfig;
+use agile_cluster::scenario::multihost::MultihostConfig;
+use agile_cluster::scenario::pressure::PressureConfig;
+use agile_cluster::scenario::{self, Scenario};
 
-/// Four multihost replicas with different seeds: each shard's report,
-/// trace, and metrics must equal its own sequential run, under 1, 2,
-/// and 4 workers.
+/// Run every config alone, then all of them as shards of one harness at
+/// 1, 2 and 4 workers: each shard's whole result (report, trace, metrics,
+/// event count) must equal its solo run. Returns the solo results.
+fn assert_shards_match<S>(cfgs: &[S]) -> Vec<S::Result>
+where
+    S: Scenario,
+    S::Result: PartialEq + Debug,
+{
+    let solo: Vec<_> = cfgs.iter().map(scenario::run).collect();
+    for workers in [1usize, 2, 4] {
+        let sharded = scenario::run_replicated(cfgs, workers);
+        assert_eq!(sharded.len(), solo.len());
+        for (i, (sh, so)) in sharded.iter().zip(&solo).enumerate() {
+            assert_eq!(sh, so, "shard {i} diverged at workers={workers}");
+        }
+    }
+    solo
+}
+
+/// Four multihost replicas with different seeds.
 #[test]
 fn multihost_sharded_matches_sequential_at_any_worker_count() {
     let cfgs: Vec<MultihostConfig> = [42u64, 7, 1234, 99]
@@ -25,34 +47,13 @@ fn multihost_sharded_matches_sequential_at_any_worker_count() {
             ..MultihostConfig::default()
         })
         .collect();
-    let sequential: Vec<_> = cfgs.iter().map(multihost::run).collect();
-    for workers in [1usize, 2, 4] {
-        let sharded = multihost::run_replicated(&cfgs, workers);
-        assert_eq!(sharded.len(), sequential.len());
-        for (i, (sh, sq)) in sharded.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                sh.report, sq.report,
-                "replica {i} report, workers={workers}"
-            );
-            assert_eq!(
-                sh.trace_jsonl, sq.trace_jsonl,
-                "replica {i} trace, workers={workers}"
-            );
-            assert_eq!(
-                sh.metrics_json, sq.metrics_json,
-                "replica {i} metrics, workers={workers}"
-            );
-            assert_eq!(
-                sh.events_executed, sq.events_executed,
-                "replica {i} event count, workers={workers}"
-            );
-            assert!(sh.converged, "replica {i} did not converge");
-        }
+    for (i, r) in assert_shards_match(&cfgs).iter().enumerate() {
+        assert!(r.converged, "replica {i} did not converge");
     }
 }
 
-/// Same contract for the elastic-pool pressure scenario (reclaim,
-/// relocation, and rebalancing all live behind the boundary).
+/// The elastic-pool pressure scenario (reclaim, relocation, and
+/// rebalancing all live behind the boundary).
 #[test]
 fn pressure_sharded_matches_sequential_at_any_worker_count() {
     let cfgs: Vec<PressureConfig> = [42u64, 7, 1234]
@@ -64,23 +65,7 @@ fn pressure_sharded_matches_sequential_at_any_worker_count() {
             ..PressureConfig::default()
         })
         .collect();
-    let sequential: Vec<_> = cfgs.iter().map(pressure::run).collect();
-    for workers in [1usize, 2, 4] {
-        let sharded = pressure::run_replicated(&cfgs, workers);
-        for (i, (sh, sq)) in sharded.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                sh.report, sq.report,
-                "replica {i} report, workers={workers}"
-            );
-            assert_eq!(
-                sh.trace_jsonl, sq.trace_jsonl,
-                "replica {i} trace, workers={workers}"
-            );
-            assert_eq!(sh.metrics_json, sq.metrics_json);
-            assert_eq!(sh.events_executed, sq.events_executed);
-            assert_eq!(sh.directory_digest, sq.directory_digest);
-        }
-    }
+    assert_shards_match(&cfgs);
 }
 
 /// The coupled datacenter scenario (racks exchange boundary messages
@@ -107,10 +92,9 @@ fn datacenter_report_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// Same contract for the diurnal scenario with the workload driver and
-/// cycle predictor armed: signal ticks, trough deferrals, and staggered
-/// firings all ride ordinary DES events, so each shard must stay
-/// byte-identical to its own sequential run at 1, 2, and 4 workers.
+/// The diurnal scenario with the workload driver and cycle predictor
+/// armed: signal ticks, trough deferrals, and staggered firings all ride
+/// ordinary DES events.
 #[test]
 fn diurnal_sharded_matches_sequential_at_any_worker_count() {
     let cfgs: Vec<DiurnalConfig> = [42u64, 7]
@@ -123,39 +107,14 @@ fn diurnal_sharded_matches_sequential_at_any_worker_count() {
             ..DiurnalConfig::default()
         })
         .collect();
-    let sequential: Vec<_> = cfgs.iter().map(diurnal::run).collect();
-    for workers in [1usize, 2, 4] {
-        let sharded = diurnal::run_replicated(&cfgs, workers);
-        assert_eq!(sharded.len(), sequential.len());
-        for (i, (sh, sq)) in sharded.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                sh.report, sq.report,
-                "replica {i} report, workers={workers}"
-            );
-            assert_eq!(
-                sh.trace_jsonl, sq.trace_jsonl,
-                "replica {i} trace, workers={workers}"
-            );
-            assert_eq!(
-                sh.metrics_json, sq.metrics_json,
-                "replica {i} metrics, workers={workers}"
-            );
-            assert_eq!(
-                sh.events_executed, sq.events_executed,
-                "replica {i} event count, workers={workers}"
-            );
-        }
-    }
+    assert_shards_match(&cfgs);
 }
 
 /// Swapping the WSS estimator is a config change, not a determinism
-/// hazard: the estimator A/B scenario — one replica per estimator arm,
-/// epoch tracking and the ground-truth oracle armed — must be
-/// byte-identical run-to-run and across 1, 2, and 4 workers. (The
-/// complementary contract, that the *default* estimator leaves every
-/// legacy scenario's goldens untouched, is carried by the three tests
-/// above plus `tests/golden_trace.rs`: none of them mention estimators
-/// and all predate the trait.)
+/// hazard: one replica per estimator arm, epoch tracking and the
+/// ground-truth oracle armed. (The complementary contract, that the
+/// *default* estimator leaves every other scenario untouched, is carried
+/// by `tests/golden_digests.rs`.)
 #[test]
 fn estimator_arms_sharded_match_sequential_at_any_worker_count() {
     let cfgs: Vec<EstimatorsConfig> = [WssEstimatorKind::SwapIo, WssEstimatorKind::Pml]
@@ -168,31 +127,11 @@ fn estimator_arms_sharded_match_sequential_at_any_worker_count() {
             ..EstimatorsConfig::default()
         })
         .collect();
-    let sequential: Vec<_> = cfgs.iter().map(estimators::run).collect();
+    let solo = assert_shards_match(&cfgs);
     assert_ne!(
-        sequential[0].trace_jsonl, sequential[1].trace_jsonl,
+        solo[0].trace_jsonl, solo[1].trace_jsonl,
         "the two arms produced identical traces — the estimator knob is dead"
     );
-    for workers in [1usize, 2, 4] {
-        let sharded = estimators::run_replicated(&cfgs, workers);
-        assert_eq!(sharded.len(), sequential.len());
-        for (i, (sh, sq)) in sharded.iter().zip(&sequential).enumerate() {
-            assert_eq!(sh.report, sq.report, "arm {i} report, workers={workers}");
-            assert_eq!(
-                sh.trace_jsonl, sq.trace_jsonl,
-                "arm {i} trace, workers={workers}"
-            );
-            assert_eq!(
-                sh.metrics_json, sq.metrics_json,
-                "arm {i} metrics, workers={workers}"
-            );
-            assert_eq!(
-                sh.events_executed, sq.events_executed,
-                "arm {i} event count, workers={workers}"
-            );
-            assert_eq!(sh, sq, "arm {i} full result, workers={workers}");
-        }
-    }
 }
 
 /// A different seed must change the datacenter's event stream (the

@@ -6,11 +6,12 @@
 //!   and spills to the *cheapest strictly costlier* tier, so an
 //!   equal-cost split changes bookkeeping shape but not one guest-visible
 //!   nanosecond. The fault-latency histograms must be byte-identical.
-//! * **Sharded equivalence**: `scenario::tiers` under the conservative
-//!   epoch harness must match its sequential driver at every worker
-//!   count.
+//! * **Sharded equivalence**: `scenario::tiers` points run as shards of
+//!   the conservative epoch harness must match their solo runs at every
+//!   worker count.
 
-use agile::cluster::scenario::tiers::{self, TierArm, TiersConfig};
+use agile::cluster::scenario;
+use agile::cluster::scenario::tiers::{TierArm, TiersConfig};
 
 fn point(arm: TierArm, dram_pct: u64, split_spill: bool) -> TiersConfig {
     TiersConfig {
@@ -31,8 +32,8 @@ fn point(arm: TierArm, dram_pct: u64, split_spill: bool) -> TiersConfig {
 #[test]
 fn equal_cost_tier_split_is_metamorphically_invisible() {
     for arm in [TierArm::ScarceDram, TierArm::FarMemory] {
-        let merged = tiers::run(&point(arm, 60, false));
-        let split = tiers::run(&point(arm, 60, true));
+        let merged = scenario::run(&point(arm, 60, false));
+        let split = scenario::run(&point(arm, 60, true));
         let label = arm.label();
         assert_eq!(
             merged.hist_digest, split.hist_digest,
@@ -68,19 +69,19 @@ fn equal_cost_tier_split_is_metamorphically_invisible() {
 }
 
 /// The tier sweep under the sharded epoch harness is byte-identical to
-/// the sequential driver at 1, 2, and 4 workers.
+/// each point's solo run at 1, 2, and 4 workers.
 #[test]
 fn tiers_sharded_matches_sequential_at_any_worker_count() {
     let cfgs = vec![
         point(TierArm::ScarceDram, 60, false),
         point(TierArm::FarMemory, 240, false),
     ];
-    let sequential: Vec<_> = cfgs.iter().map(tiers::run).collect();
+    let solo: Vec<_> = cfgs.iter().map(scenario::run).collect();
     for workers in [1usize, 2, 4] {
-        let sharded = tiers::run_replicated(&cfgs, workers);
-        assert_eq!(sharded.len(), sequential.len());
-        for (i, (sh, sq)) in sharded.iter().zip(&sequential).enumerate() {
-            assert_eq!(sh, sq, "replica {i} diverged at workers={workers}");
+        let sharded = scenario::run_replicated(&cfgs, workers);
+        assert_eq!(sharded.len(), solo.len());
+        for (i, (sh, so)) in sharded.iter().zip(&solo).enumerate() {
+            assert_eq!(sh, so, "replica {i} diverged at workers={workers}");
         }
     }
 }
