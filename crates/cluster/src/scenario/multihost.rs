@@ -273,7 +273,6 @@ impl Scenario for MultihostConfig {
 
     /// Disarm the scheduler and assemble the deterministic result.
     fn finish(&self, mut sim: Simulation<World>, (managed, _): Self::Meta) -> MultihostResult {
-        let deadline = self.deadline();
         let sc = self.scale.max(1);
         sched::disarm_scheduler(&mut sim);
 
@@ -302,7 +301,7 @@ impl Scenario for MultihostConfig {
             .map(|mh| sched::host_aggregate(w, mh.host))
             .collect();
         let high_bytes: Vec<u64> = managed.iter().map(|mh| mh.trigger.high_bytes).collect();
-        let converged = sim.now() < deadline
+        let converged = sim.now() < self.deadline()
             && final_aggregates
                 .iter()
                 .zip(&high_bytes)

@@ -166,9 +166,10 @@ impl Scenario for PressureConfig {
         let work_mem = 24 * GIB / sc;
         let vm_mem = 4 * GIB / sc;
         let resv = 2304 * MIB / sc; // 2.25 GiB: 1.75 GiB of cold spill per VM
-                                    // The ramp's post-demand leases: skewed, donor 0 keeps almost nothing
-                                    // and the rest keep two thirds; even, everyone keeps half. Either way
-                                    // the total pool capacity roughly halves.
+
+        // The ramp's post-demand leases: skewed, donor 0 keeps almost nothing
+        // and the rest keep two thirds; even, everyone keeps half. Either way
+        // the total pool capacity roughly halves.
         let lease_target = |donor: usize| -> u64 {
             if !self.skew {
                 donor_contrib / 2
@@ -307,13 +308,12 @@ impl Scenario for PressureConfig {
         mut sim: Simulation<World>,
         (namespaces, initial_leases, _): Self::Meta,
     ) -> PressureResult {
-        let deadline = self.deadline();
         let sc = self.scale.max(1);
         poolctl::disarm_pool(&mut sim);
 
         let events_executed = sim.events_executed();
         let w = sim.state();
-        let converged = sim.now() < deadline;
+        let converged = sim.now() < self.deadline();
         let (lost_placements, directory_replicas, per_namespace, directory_digest) =
             audit(w, &namespaces);
         let stored_pages: u64 = w.vmd.servers.iter().map(|e| e.server.stored_pages()).sum();

@@ -3,8 +3,8 @@
 //! byte-identical results to running each config alone — at every
 //! worker count. The `workers` knob maps shards to OS threads and
 //! nothing else; these tests are the contract. (A solo run is the
-//! one-shard case of the same driver; `tests/golden_digests.rs` pins it
-//! to the historical sequential loop's output.)
+//! one-shard case of the same driver; `tests/golden_digests.rs` pins its
+//! output.)
 
 use std::fmt::Debug;
 
