@@ -41,7 +41,7 @@ pub mod units;
 
 pub use blockdev::{BlockDevice, BlockDeviceSpec, IoCounters, IoKind};
 pub use event::{EventId, FastEvent, Simulation};
-pub use fnv::{Fnv1a, FnvHasher, StreamHash};
+pub use fnv::{Fnv1a, StreamHash};
 pub use net::{ChannelId, Delivery, Network, NodeId, RackId, SegmentId};
 pub use rng::{DetRng, SeedSequence};
 pub use stats::{
