@@ -11,7 +11,7 @@
 //! claim: trough-scheduled migrations move strictly fewer bytes *and*
 //! suffer strictly lower p99 downtime than naive firing.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::{write_csv, Args, Gate};
 use agile_cluster::scenario;
 use agile_cluster::scenario::diurnal::DiurnalConfig;
 
@@ -91,26 +91,31 @@ fn main() {
         "  \"delta\": {{\"bytes\": {delta_bytes}, \"pages_full\": {delta_pages}, \
          \"downtime_p99_ns\": {delta_p99}}},\n"
     ));
-    let gate_passed = delta_bytes < 0 && delta_p99 < 0;
+    let gate = Gate::new([
+        (
+            delta_bytes < 0,
+            format!(
+                "predicted run moved {} bytes vs naive {}",
+                predicted.total_bytes, naive.total_bytes
+            ),
+        ),
+        (
+            delta_p99 < 0,
+            format!(
+                "predicted p99 downtime {} ns vs naive {} ns",
+                predicted.downtime_p99_ns, naive.downtime_p99_ns
+            ),
+        ),
+    ]);
     json.push_str(&format!(
         "  \"gate\": {{\"requires\": \"delta.bytes < 0 && delta.downtime_p99_ns < 0\", \
-         \"passed\": {gate_passed}}}\n}}\n"
+         \"passed\": {}}}\n}}\n",
+        gate.passed()
     ));
     let path = out.join("BENCH_3.json");
     std::fs::write(&path, &json).expect("write BENCH_3.json");
     println!("wrote {}", path.display());
 
     assert!(p.deferrals > 0, "predictor never deferred a migration");
-    assert!(
-        delta_bytes < 0,
-        "predicted run moved {} bytes vs naive {}",
-        predicted.total_bytes,
-        naive.total_bytes
-    );
-    assert!(
-        delta_p99 < 0,
-        "predicted p99 downtime {} ns vs naive {} ns",
-        predicted.downtime_p99_ns,
-        naive.downtime_p99_ns
-    );
+    gate.enforce();
 }

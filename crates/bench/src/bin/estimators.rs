@@ -13,7 +13,7 @@
 //! against ground truth is strictly lower than swap-I/O's, and it
 //! detects the working-set growth at least one full epoch earlier.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::{write_csv, Args, Gate};
 use agile_cluster::config::WssEstimatorKind;
 use agile_cluster::scenario;
 use agile_cluster::scenario::estimators::{self, EstimatorsConfig};
@@ -96,11 +96,26 @@ fn main() {
         "  \"delta\": {{\"mae_no_swap_bytes\": {d_mae_no_swap}, \
          \"mae_total_bytes\": {d_mae_total}, \"detect_ns\": {d_detect}}},\n"
     ));
-    let gate_passed =
-        d_mae_no_swap < 0 && pml.detect_ns as i128 + epoch_ns <= swap.detect_ns as i128;
+    let gate = Gate::new([
+        (
+            d_mae_no_swap < 0,
+            format!(
+                "PML no-swap MAE {} >= swap-I/O {}",
+                pml.mae_no_swap_bytes, swap.mae_no_swap_bytes
+            ),
+        ),
+        (
+            pml.detect_ns as i128 + epoch_ns <= swap.detect_ns as i128,
+            format!(
+                "PML detected at {} ns, not >= one epoch before swap-I/O at {} ns",
+                pml.detect_ns, swap.detect_ns
+            ),
+        ),
+    ]);
     json.push_str(&format!(
         "  \"gate\": {{\"requires\": \"delta.mae_no_swap_bytes < 0 && pml.detect_ns + epoch \
-         <= swap_io.detect_ns\", \"passed\": {gate_passed}}}\n}}\n"
+         <= swap_io.detect_ns\", \"passed\": {}}}\n}}\n",
+        gate.passed()
     ));
     let path = out.join("BENCH_4.json");
     std::fs::write(&path, &json).expect("write BENCH_4.json");
@@ -114,16 +129,5 @@ fn main() {
         pml.wss_counters.pml_overflows > 0,
         "PML log never overflowed — the full-scan fallback went unexercised"
     );
-    assert!(
-        d_mae_no_swap < 0,
-        "PML no-swap MAE {} >= swap-I/O {}",
-        pml.mae_no_swap_bytes,
-        swap.mae_no_swap_bytes
-    );
-    assert!(
-        pml.detect_ns as i128 + epoch_ns <= swap.detect_ns as i128,
-        "PML detected at {} ns, not >= one epoch before swap-I/O at {} ns",
-        pml.detect_ns,
-        swap.detect_ns
-    );
+    gate.enforce();
 }

@@ -15,7 +15,7 @@
 //! fewer fabric bytes for a short-lived crowd — teardown cancels the
 //! hydration that precopy pays up front.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::{write_csv, Args, Gate};
 use agile_cluster::scenario;
 use agile_cluster::scenario::scaleout::{self, CloneArm, ScaleoutConfig};
 
@@ -76,16 +76,43 @@ fn main() {
     let d_fabric = s.fabric_bytes as i64 - p.fabric_bytes as i64;
     let d_bystander = s.bystander_ops as i64 - p.bystander_ops as i64;
 
-    let gate_passed = s.ready == clones as u64
-        && p.ready == clones as u64
-        && s.torn_down == clones as u64
-        && p.torn_down == clones as u64
-        && s.lost_reads == 0
-        && p.lost_reads == 0
-        && d_ttfps < 0
-        && d_fabric < 0
-        && s.cow_breaks > 0
-        && p.cow_breaks > 0;
+    let n = clones as u64;
+    let mut checks = Vec::new();
+    for (arm, r) in [("streamed", s), ("precopy", p)] {
+        checks.extend([
+            (
+                r.ready == n,
+                format!("{arm} fleet served {} of {n} clones", r.ready),
+            ),
+            (
+                r.torn_down == n,
+                format!("{arm} fleet tore down {} of {n} clones", r.torn_down),
+            ),
+            (
+                r.lost_reads == 0,
+                format!("{arm} arm lost {} reads without chaos", r.lost_reads),
+            ),
+            (
+                r.cow_breaks > 0,
+                format!("{arm} clones never diverged from the gold image"),
+            ),
+        ]);
+    }
+    checks.push((
+        d_ttfps < 0,
+        format!(
+            "streamed must serve first pages sooner: {} vs {} ns",
+            s.ttfps_mean_ns, p.ttfps_mean_ns
+        ),
+    ));
+    checks.push((
+        d_fabric < 0,
+        format!(
+            "streamed must move fewer fabric bytes: {} vs {}",
+            s.fabric_bytes, p.fabric_bytes
+        ),
+    ));
+    let gate = Gate::new(checks);
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -102,31 +129,12 @@ fn main() {
         "  \"gate\": {{\"requires\": \"both arms spawn, serve and tear down all \
          {clones} clones with nothing lost, clones diverge (cow_breaks > 0), && \
          streamed beats precopy on ttfps_mean_ns and fabric_bytes\", \
-         \"passed\": {gate_passed}}}\n}}\n"
+         \"passed\": {}}}\n}}\n",
+        gate.passed()
     ));
     let path = out.join("BENCH_6.json");
     std::fs::write(&path, &json).expect("write BENCH_6.json");
     println!("wrote {}", path.display());
 
-    assert_eq!(s.ready, clones as u64, "streamed fleet never fully served");
-    assert_eq!(p.ready, clones as u64, "precopy fleet never fully served");
-    assert_eq!(s.torn_down, clones as u64, "streamed fleet never tore down");
-    assert_eq!(p.torn_down, clones as u64, "precopy fleet never tore down");
-    assert_eq!(s.lost_reads + p.lost_reads, 0, "reads lost without chaos");
-    assert!(
-        s.cow_breaks > 0 && p.cow_breaks > 0,
-        "clones never diverged from the gold image"
-    );
-    assert!(
-        d_ttfps < 0,
-        "streamed must serve first pages sooner: {} vs {} ns",
-        s.ttfps_mean_ns,
-        p.ttfps_mean_ns
-    );
-    assert!(
-        d_fabric < 0,
-        "streamed must move fewer fabric bytes: {} vs {}",
-        s.fabric_bytes,
-        p.fabric_bytes
-    );
+    gate.enforce();
 }

@@ -13,7 +13,7 @@
 //! ample end of the sweep the all-DRAM stack wins the fault-latency
 //! p99, at the scarce end the far-memory stack wins — the curves cross.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::{write_csv, Args, Gate};
 use agile_cluster::scenario;
 use agile_cluster::scenario::tiers::{self, TierArm, TiersResult};
 
@@ -100,7 +100,41 @@ fn main() {
         .find(|(_, a, b)| a.fault_p99_ns > b.fault_p99_ns && a.downtime_ns > b.downtime_ns)
         .map(|(pct, _, _)| *pct as i64)
         .unwrap_or(-1);
-    let gate_passed = ample_dram_wins && scarce_far_wins && crossover_pct > *scarce_pct as i64;
+    let gate = Gate::new([
+        (
+            ample_dram_wins,
+            format!(
+                "ample DRAM ({ample_pct}%) must beat far memory on mean fault latency without \
+                 regressing p99 or downtime: mean {} vs {}, p99 {} vs {}, downtime {} vs {}",
+                ample_a.fault_mean_ns,
+                ample_b.fault_mean_ns,
+                ample_a.fault_p99_ns,
+                ample_b.fault_p99_ns,
+                ample_a.downtime_ns,
+                ample_b.downtime_ns
+            ),
+        ),
+        (
+            scarce_far_wins,
+            format!(
+                "scarce DRAM ({scarce_pct}%) must lose to far memory on mean, p99 and downtime: \
+                 mean {} vs {}, p99 {} vs {}, downtime {} vs {}",
+                scarce_a.fault_mean_ns,
+                scarce_b.fault_mean_ns,
+                scarce_a.fault_p99_ns,
+                scarce_b.fault_p99_ns,
+                scarce_a.downtime_ns,
+                scarce_b.downtime_ns
+            ),
+        ),
+        (
+            crossover_pct > *scarce_pct as i64,
+            format!(
+                "the far-memory win must first appear strictly inside the sweep \
+                 (first win at {crossover_pct}%, scarce end {scarce_pct}%)"
+            ),
+        ),
+    ]);
     json.push_str(&format!(
         "  \"crossover\": {{\"ample_pct\": {ample_pct}, \"scarce_pct\": {scarce_pct}, \
          \"first_far_memory_win_pct\": {crossover_pct}}},\n"
@@ -109,7 +143,8 @@ fn main() {
         "  \"gate\": {{\"requires\": \"mean(scarce_dram) < mean(far_memory) at \
          dram_pct={ample_pct} with p99 and downtime no worse, && mean+p99+downtime(scarce_dram) \
          > mean+p99+downtime(far_memory) at dram_pct={scarce_pct}\", \
-         \"passed\": {gate_passed}}}\n}}\n"
+         \"passed\": {}}}\n}}\n",
+        gate.passed()
     ));
     let path = out.join("BENCH_5.json");
     std::fs::write(&path, &json).expect("write BENCH_5.json");
@@ -125,31 +160,5 @@ fn main() {
             "too few faults at dram_pct={pct} for a meaningful p99"
         );
     }
-    assert!(
-        ample_dram_wins,
-        "ample DRAM ({ample_pct}%) must beat far memory on mean fault latency without \
-         regressing p99 or downtime: mean {} vs {}, p99 {} vs {}, downtime {} vs {}",
-        ample_a.fault_mean_ns,
-        ample_b.fault_mean_ns,
-        ample_a.fault_p99_ns,
-        ample_b.fault_p99_ns,
-        ample_a.downtime_ns,
-        ample_b.downtime_ns
-    );
-    assert!(
-        scarce_far_wins,
-        "scarce DRAM ({scarce_pct}%) must lose to far memory on mean, p99 and downtime: \
-         mean {} vs {}, p99 {} vs {}, downtime {} vs {}",
-        scarce_a.fault_mean_ns,
-        scarce_b.fault_mean_ns,
-        scarce_a.fault_p99_ns,
-        scarce_b.fault_p99_ns,
-        scarce_a.downtime_ns,
-        scarce_b.downtime_ns
-    );
-    assert!(
-        crossover_pct > *scarce_pct as i64,
-        "the far-memory win must first appear strictly inside the sweep \
-         (first win at {crossover_pct}%, scarce end {scarce_pct}%)"
-    );
+    gate.enforce();
 }

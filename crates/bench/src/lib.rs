@@ -31,14 +31,30 @@ impl Args {
         }
     }
 
-    /// Value of `--name <v>`, parsed.
+    /// Value of `--name <v>`, parsed; `None` when the flag is absent. A
+    /// flag that is present with a missing or unparsable value exits the
+    /// process with an error naming the flag.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_get(name).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::get`] without the exit: `Err` names the flag whose value is
+    /// missing or does not parse.
+    fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         let flag = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let Some(i) = self.raw.iter().position(|a| a == &flag) else {
+            return Ok(None);
+        };
+        match self.raw.get(i + 1) {
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{flag}: cannot parse value {v:?}")),
+            None => Err(format!("{flag} needs a value")),
+        }
     }
 
     /// The scale divisor (default 8).
@@ -127,6 +143,34 @@ pub fn series_csv(header: &str, series: &[(u64, f64)]) -> String {
         s.push_str(&format!("{t},{v:.2}\n"));
     }
     s
+}
+
+/// A BENCH file's pass/fail gate over `(condition, failure message)`
+/// pairs. Build it before writing the JSON, record [`Gate::passed`] in
+/// the file, then [`Gate::enforce`] it once the file is written.
+pub struct Gate {
+    first_failure: Option<String>,
+}
+
+impl Gate {
+    /// Evaluate the checks, keeping the first failing message.
+    pub fn new(checks: impl IntoIterator<Item = (bool, String)>) -> Gate {
+        Gate {
+            first_failure: checks.into_iter().find(|(ok, _)| !ok).map(|(_, msg)| msg),
+        }
+    }
+
+    /// Whether every condition holds (the JSON `"passed"` field).
+    pub fn passed(&self) -> bool {
+        self.first_failure.is_none()
+    }
+
+    /// Panic with the first failing message, if any.
+    pub fn enforce(self) {
+        if let Some(msg) = self.first_failure {
+            panic!("{msg}");
+        }
+    }
 }
 
 /// Format seconds for table cells.
@@ -218,6 +262,48 @@ mod tests {
     fn series_csv_renders() {
         let csv = series_csv("t,ops", &[(0, 1.0), (1, 2.5)]);
         assert_eq!(csv, "t,ops\n0,1.00\n1,2.50\n");
+    }
+
+    fn args(raw: &[&str]) -> Args {
+        Args {
+            raw: raw.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn get_parses_present_and_skips_absent_flags() {
+        let a = args(&["--scale", "64"]);
+        assert_eq!(a.try_get::<u64>("scale"), Ok(Some(64)));
+        assert_eq!(a.try_get::<u64>("seed"), Ok(None));
+        assert_eq!(a.get::<u64>("seed"), None);
+        assert_eq!(a.scale(), 64);
+    }
+
+    #[test]
+    fn get_rejects_unparsable_or_missing_values() {
+        let e = args(&["--scale", "6x4"])
+            .try_get::<u64>("scale")
+            .unwrap_err();
+        assert!(e.contains("--scale") && e.contains("6x4"), "{e}");
+        let e = args(&["--out", "o", "--scale"])
+            .try_get::<u64>("scale")
+            .unwrap_err();
+        assert!(e.contains("--scale"), "{e}");
+    }
+
+    #[test]
+    fn gate_keeps_the_first_failure() {
+        let ok = Gate::new([(true, "a".to_string()), (true, "b".to_string())]);
+        assert!(ok.passed());
+        ok.enforce();
+        let bad = Gate::new([
+            (true, "a".to_string()),
+            (false, "b".to_string()),
+            (false, "c".to_string()),
+        ]);
+        assert!(!bad.passed());
+        let msg = std::panic::catch_unwind(|| bad.enforce()).unwrap_err();
+        assert_eq!(msg.downcast_ref::<String>().map(String::as_str), Some("b"));
     }
 
     #[test]

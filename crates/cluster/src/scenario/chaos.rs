@@ -11,14 +11,15 @@
 //! losses are *reported*, never panicked on.
 
 use agile_chaos::ChaosSchedule;
-use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
+use agile_migration::Technique;
+use agile_sim_core::{SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::chaosctl::{self, CrashRecord};
 use crate::config::ClusterConfig;
-use crate::migrate;
+use crate::scenario::{self, paper_source_config, start_fitted_migration, Scenario};
+use crate::world::World;
 
 /// One chaos run.
 #[derive(Clone, Debug)]
@@ -115,126 +116,128 @@ pub struct ChaosScenarioResult {
 
 /// Run one chaos scenario.
 pub fn run(cfg: &ChaosScenarioConfig) -> ChaosScenarioResult {
-    let sc = cfg.scale.max(1);
-    let host_mem = cfg.host_mem / sc;
-    let vm_mem = cfg.vm_mem / sc;
-    let host_os = 300 * MIB / sc;
-    let guest_os = 300 * MIB / sc;
-    let reservation = (host_mem - host_os).min(vm_mem);
+    scenario::run(cfg)
+}
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        vmd_replication: cfg.replication,
-        vmd_tiers: cfg.tiers,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let _client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
-    for i in 0..cfg.vmd_servers.max(1) {
-        let im = b.add_host(&format!("intermediate{i}"), 64 * GIB / sc, host_os, true);
-        b.add_vmd_server(im, 48 * GIB / sc, 0);
-    }
-    b.ensure_vmd_client(dst_host);
+impl Scenario for ChaosScenarioConfig {
+    /// The fault horizon: the last scheduled fault's time.
+    type Meta = SimTime;
+    type Result = ChaosScenarioResult;
 
-    let vm = b.add_vm(
-        src_host,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: reservation,
-            guest_os_bytes: guest_os,
-        },
-        SwapKind::PerVmVmd,
-    );
-    // Idle-style guest: memory fully populated (the over-commit spills to
-    // the VMD namespace) with OS background touching pages.
-    b.enable_os_background(vm);
-    b.preload_pages(vm, 0, (vm_mem / page) as u32);
+    /// Build the world, install the fault schedule and schedule the
+    /// migration after the warm-up.
+    fn setup(&self) -> (Simulation<World>, SimTime) {
+        let sc = self.scale.max(1);
+        let host_mem = self.host_mem / sc;
+        let vm_mem = self.vm_mem / sc;
+        let host_os = 300 * MIB / sc;
+        let guest_os = 300 * MIB / sc;
+        let reservation = (host_mem - host_os).min(vm_mem);
 
-    let mut sim = b.build();
-    if cfg.trace {
-        sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 16);
-    }
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-    chaosctl::install(&mut sim, cfg.schedule.clone());
-
-    let technique = cfg.technique;
-    let verify = cfg.verify_content;
-    sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[vm].vm.config().mem_bytes)
+        let cluster_cfg = ClusterConfig {
+            seed: self.seed,
+            vmd_replication: self.replication,
+            vmd_tiers: self.tiers,
+            ..ClusterConfig::default()
         };
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(technique)
-        };
-        let mig = migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
-        sim.state_mut().migrations[mig].verify_content = verify;
-    });
+        let page = cluster_cfg.page_size;
+        let mut b = ClusterBuilder::new(cluster_cfg);
+        let src_host = b.add_host("source", host_mem, host_os, true);
+        let dst_host = b.add_host("dest", host_mem, host_os, true);
+        let _client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
+        for i in 0..self.vmd_servers.max(1) {
+            let im = b.add_host(&format!("intermediate{i}"), 64 * GIB / sc, host_os, true);
+            b.add_vmd_server(im, 48 * GIB / sc, 0);
+        }
+        b.ensure_vmd_client(dst_host);
 
-    // Run until the migration completes (or the deadline), every
-    // scheduled fault has fired, and the background re-replication pump
-    // has drained — so rejoin times and unavailability windows are fully
-    // stamped in the report.
-    let deadline = SimTime::from_secs(cfg.deadline_secs);
-    let horizon = cfg
-        .schedule
-        .events()
-        .iter()
-        .map(|e| e.at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
+        let vm = b.add_vm(
+            src_host,
+            VmConfig {
+                mem_bytes: vm_mem,
+                page_size: page,
+                vcpus: 2,
+                reservation_bytes: reservation,
+                guest_os_bytes: guest_os,
+            },
+            SwapKind::PerVmVmd,
+        );
+        // Idle-style guest: memory fully populated (the over-commit spills
+        // to the VMD namespace) with OS background touching pages.
+        b.enable_os_background(vm);
+        b.preload_pages(vm, 0, (vm_mem / page) as u32);
+
+        let mut sim = b.build();
+        if self.trace {
+            sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 16);
+        }
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+        chaosctl::install(&mut sim, self.schedule.clone());
+
+        let src_cfg = paper_source_config(self.technique, sc);
+        let verify = self.verify_content;
+        sim.schedule_at(SimTime::from_secs(self.warmup_secs), move |sim| {
+            let mig = start_fitted_migration(sim, vm, dst_host, src_cfg);
+            sim.state_mut().migrations[mig].verify_content = verify;
+        });
+
+        let horizon = self
+            .schedule
+            .events()
+            .iter()
+            .map(|e| e.at)
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        (sim, horizon)
+    }
+
+    fn deadline(&self) -> SimTime {
+        SimTime::from_secs(self.deadline_secs)
+    }
+
+    /// The migration has finished, every scheduled fault has fired, and
+    /// the background re-replication pump has drained — so rejoin times
+    /// and unavailability windows are fully stamped in the report.
+    fn done(sim: &Simulation<World>, horizon: &SimTime) -> bool {
         let w = sim.state();
         let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-        let repair_done = w.chaos.repair_queue.is_empty();
-        if (mig_done && repair_done && sim.now() >= horizon) || sim.now() >= deadline {
-            break;
-        }
+        mig_done && w.chaos.repair_queue.is_empty() && sim.now() >= *horizon
     }
 
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    // Tier-ledger invariant: whatever the crash interrupted (demotions,
-    // relocations, purges), every surviving server's per-tier accounting
-    // must still reconcile with its actual placements.
-    for (i, s) in w.vmd.servers.iter().enumerate() {
-        assert!(
-            s.server.ledger_consistent(),
-            "server {i} tier ledger inconsistent after chaos run"
-        );
-    }
-    let metrics = w.migrations[0].src.metrics();
-    ChaosScenarioResult {
-        finished: w.migrations[0].finished,
-        migration_secs: metrics
-            .total_time()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN),
-        downtime_secs: metrics
-            .downtime()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN),
-        migration_bytes: metrics.migration_bytes,
-        retries: w.migrations[0].retries,
-        pages_lost_on_conn_drop: w.migrations[0].pages_lost_on_conn_drop,
-        slots_lost: w.chaos.total_slots_lost(),
-        slots_repaired: w.chaos.slots_repaired,
-        lost_reads: w.chaos.lost_reads,
-        conn_drops: w.chaos.conn_drops,
-        worst_unavailability_secs: w.chaos.worst_unavailability_secs(),
-        crashes: w.chaos.crashes.clone(),
-        events_executed,
-        trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+    fn finish(&self, sim: Simulation<World>, _horizon: SimTime) -> ChaosScenarioResult {
+        let events_executed = sim.events_executed();
+        let w = sim.state();
+        // Tier-ledger invariant: whatever the crash interrupted (demotions,
+        // relocations, purges), every surviving server's per-tier
+        // accounting must still reconcile with its actual placements.
+        for (i, s) in w.vmd.servers.iter().enumerate() {
+            assert!(
+                s.server.ledger_consistent(),
+                "server {i} tier ledger inconsistent after chaos run"
+            );
+        }
+        let metrics = w.migrations[0].src.metrics();
+        ChaosScenarioResult {
+            finished: w.migrations[0].finished,
+            migration_secs: metrics
+                .total_time()
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(f64::NAN),
+            downtime_secs: metrics
+                .downtime()
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(f64::NAN),
+            migration_bytes: metrics.migration_bytes,
+            retries: w.migrations[0].retries,
+            pages_lost_on_conn_drop: w.migrations[0].pages_lost_on_conn_drop,
+            slots_lost: w.chaos.total_slots_lost(),
+            slots_repaired: w.chaos.slots_repaired,
+            lost_reads: w.chaos.lost_reads,
+            conn_drops: w.chaos.conn_drops,
+            worst_unavailability_secs: w.chaos.worst_unavailability_secs(),
+            crashes: w.chaos.crashes.clone(),
+            events_executed,
+            trace_jsonl: self.trace.then(|| w.trace.to_jsonl()),
+        }
     }
 }

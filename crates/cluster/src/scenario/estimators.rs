@@ -35,12 +35,12 @@ use agile_migration::{SourceConfig, Technique};
 use agile_sim_core::{FixedHistogram, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_workload::driver::{Binding, Knob};
-use agile_workload::{Dataset, KeyDist, Signal, WorkloadDriver, YcsbParams, YcsbRedis};
+use agile_workload::{Signal, WorkloadDriver, YcsbParams};
 use agile_wss::{ControllerParams, WatermarkTrigger};
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::{ClusterConfig, WssEstimatorKind};
-use crate::scenario::Scenario;
+use crate::scenario::{paper_source_config, RedisLayout, Scenario};
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
 use crate::wlctl;
 use crate::world::{WorkloadKind, World, WssCounters};
@@ -248,25 +248,10 @@ impl Scenario for EstimatorsConfig {
                 },
                 SwapKind::PerVmVmd,
             );
-            let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-            let data_pages = (dataset_bytes / page) as u32;
-            let (index_region, data_region) = {
-                let world = b.world_mut();
-                let layout = world.vms[vm].vm.layout_mut();
-                let idx = layout.alloc_region("redis-index", index_pages);
-                let dat = layout.alloc_region("redis-data", data_pages);
-                (idx, dat)
-            };
-            let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-            let model = YcsbRedis::new(
-                dataset,
-                index_region,
-                KeyDist::UniformPrefix,
-                YcsbParams {
-                    client_threads: 4,
-                    ..YcsbParams::default()
-                },
-            );
+            let model = RedisLayout::alloc(&mut b, vm, dataset_bytes).ycsb(YcsbParams {
+                client_threads: 4,
+                ..YcsbParams::default()
+            });
             b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
             b.enable_os_background(vm);
             vms.push(vm);
@@ -340,10 +325,7 @@ impl Scenario for EstimatorsConfig {
             max_in_flight: 1,
             hysteresis: 0.25,
             cooldown: SimDuration::from_secs(600),
-            src_cfg: SourceConfig {
-                precopy_threshold_pages: (9_000 / sc as u32).max(64),
-                ..SourceConfig::new(Technique::Agile)
-            },
+            src_cfg: paper_source_config(Technique::Agile, sc),
             verify_content: true,
             ..SchedConfig::new(SourceConfig::new(Technique::Agile))
         };

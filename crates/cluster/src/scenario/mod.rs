@@ -13,11 +13,15 @@
 //! every byte quantity, which preserves the *ratios* that drive the
 //! qualitative results.
 //!
-//! The extension scenarios that run until a settle predicate holds
-//! (`multihost`, `pressure`, `diurnal`, `estimators`, `tiers`,
+//! The scenarios that run until a settle predicate holds (`single_vm`,
+//! `chaos`, `multihost`, `pressure`, `diurnal`, `estimators`, `tiers`,
 //! `scaleout`) implement [`Scenario`] and are driven by the one generic
 //! driver: [`run`] for a single config, [`run_replicated`] for several
 //! independent configs as shards of one parallel epoch harness.
+//!
+//! The testbed pieces they share live here, once each: `RedisLayout`,
+//! `paper_source_config`, `start_fitted_migration` and the §V-A/§V-C
+//! `overcommitted_testbed` of `ycsb` and `sysbench`.
 
 pub mod chaos;
 pub mod datacenter;
@@ -32,10 +36,15 @@ pub mod tiers;
 pub mod wss;
 pub mod ycsb;
 
-use agile_sim_core::{SimDuration, SimTime, Simulation};
-use agile_workload::Signal;
+use agile_migration::{SourceConfig, Technique};
+use agile_sim_core::{SimDuration, SimTime, Simulation, GIB, MIB};
+use agile_vm::{PageRange, VmConfig};
+use agile_workload::{Dataset, KeyDist, Signal, YcsbParams, YcsbRedis};
 
+use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
+use crate::config::ClusterConfig;
 use crate::guest::{charge_evictions, EvictTarget};
+use crate::migrate;
 use crate::shard::{NullCoordinator, ShardedRun};
 use crate::world::{WorkloadKind, World};
 
@@ -165,7 +174,7 @@ pub fn desired_reservation(world: &World, vm_idx: usize, slack: u64) -> u64 {
             let index_bytes = slot
                 .vm
                 .layout()
-                .region("redis-index")
+                .region(REDIS_INDEX)
                 .map(|r| r.len as u64 * page)
                 .unwrap_or(0);
             y.active_bytes() + index_bytes
@@ -229,24 +238,166 @@ pub fn set_ycsb_active_bytes(sim: &mut Simulation<World>, vm_idx: usize, bytes: 
     }
 }
 
-/// Poll once a second until migration `mig` finishes, then re-balance the
-/// source host.
-pub(crate) fn watch_completion(
+/// Name of the Redis hash-table index region of [`RedisLayout`].
+pub(crate) const REDIS_INDEX: &str = "redis-index";
+
+/// The Redis memory layout every YCSB guest uses: a hash-table index
+/// ([`REDIS_INDEX`], ~2% of the dataset and at least 4 pages), then the
+/// values as 1 KiB records.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RedisLayout {
+    index: PageRange,
+    data: PageRange,
+    dataset_bytes: u64,
+    page: u64,
+}
+
+impl RedisLayout {
+    /// Carve the layout for a `dataset_bytes` dataset into `vm`'s guest
+    /// memory.
+    pub(crate) fn alloc(b: &mut ClusterBuilder, vm: usize, dataset_bytes: u64) -> RedisLayout {
+        let page = b.world().cfg.page_size;
+        let layout = b.world_mut().vms[vm].vm.layout_mut();
+        let index = layout.alloc_region(REDIS_INDEX, ((dataset_bytes / 50) / page).max(4) as u32);
+        let data = layout.alloc_region("redis-data", (dataset_bytes / page) as u32);
+        RedisLayout {
+            index,
+            data,
+            dataset_bytes,
+            page,
+        }
+    }
+
+    /// Bytes of the index region.
+    pub(crate) fn index_bytes(&self) -> u64 {
+        self.index.len as u64 * self.page
+    }
+
+    /// A YCSB client model over this layout, with uniform-prefix keys.
+    pub(crate) fn ycsb(&self, params: YcsbParams) -> YcsbRedis {
+        let dataset = Dataset::new(self.data, self.dataset_bytes / 1024, 1024, self.page);
+        YcsbRedis::new(dataset, self.index, KeyDist::UniformPrefix, params)
+    }
+}
+
+/// The source configuration of the paper's §V runs: `technique` with the
+/// pre-copy stop threshold (9,000 pages at paper scale, at least 64)
+/// divided by the scale divisor `sc`.
+pub(crate) fn paper_source_config(technique: Technique, sc: u64) -> SourceConfig {
+    SourceConfig {
+        precopy_threshold_pages: (9_000 / sc as u32).max(64),
+        ..SourceConfig::new(technique)
+    }
+}
+
+/// Start migrating `vm` to `dest` with the whole free destination host as
+/// its reservation there, capped at the VM's size. Returns the migration
+/// index.
+pub(crate) fn start_fitted_migration(
     sim: &mut Simulation<World>,
-    mig: usize,
-    src_host: usize,
-    slack: u64,
-) {
-    sim.schedule_every(
-        sim.now() + SimDuration::from_secs(1),
-        SimDuration::from_secs(1),
-        move |sim| {
-            if sim.state().migrations[mig].finished {
-                rebalance_host(sim, src_host, slack);
-                false
-            } else {
-                true
-            }
-        },
-    );
+    vm: usize,
+    dest: usize,
+    src_cfg: SourceConfig,
+) -> usize {
+    let dest_resv = {
+        let w = sim.state();
+        w.hosts[dest]
+            .mem
+            .available_for_vms()
+            .min(w.vms[vm].vm.config().mem_bytes)
+    };
+    migrate::start_migration(sim, vm, dest, src_cfg, dest_resv)
+}
+
+/// The over-committed testbed of §V-A and §V-C: `n_vms` 10 GB VMs with
+/// 5.5 GB reservations on a 23 GB source host, an empty destination of
+/// the same size, an external client host and, for Agile, an
+/// intermediate host whose VMD server holds every VM's swap.
+///
+/// Each VM runs `workload(builder, vm)` plus OS background, and the
+/// datasets preload concurrently, so their eviction streams interleave on
+/// the shared swap partition (the paper's four load clients). Once the
+/// workloads are started, `script` schedules the scenario's own events
+/// (before the migration's, so events at the migration instant keep that
+/// order). At `migrate_at_secs` the first VM migrates to the destination, and the
+/// source is re-balanced once a second after the migration finishes.
+/// Returns the world and the VM indices.
+pub(crate) fn overcommitted_testbed(
+    technique: Technique,
+    scale: u64,
+    seed: u64,
+    n_vms: usize,
+    migrate_at_secs: u64,
+    mut workload: impl FnMut(&mut ClusterBuilder, usize) -> WorkloadKind,
+    script: impl FnOnce(&mut Simulation<World>, &[usize]),
+) -> (Simulation<World>, Vec<usize>) {
+    let sc = scale.max(1);
+    let host_mem = 23 * GIB / sc;
+    let host_os = 200 * MIB / sc;
+    let slack = 256 * MIB / sc;
+
+    let cluster_cfg = ClusterConfig {
+        seed,
+        ..ClusterConfig::default()
+    };
+    let page = cluster_cfg.page_size;
+    let mut b = ClusterBuilder::new(cluster_cfg);
+    let src_host = b.add_host("source", host_mem, host_os, true);
+    let dst_host = b.add_host("dest", host_mem, host_os, true);
+    let client_host = b.add_host("client", 16 * GIB / sc, host_os, false);
+    let agile = technique == Technique::Agile;
+    if agile {
+        let im = b.add_host("intermediate", 128 * GIB / sc, host_os, true);
+        b.add_vmd_server(im, 100 * GIB / sc, 0);
+        b.ensure_vmd_client(dst_host);
+    }
+    let swap_kind = if agile {
+        SwapKind::PerVmVmd
+    } else {
+        SwapKind::HostSsd
+    };
+
+    let vms: Vec<usize> = (0..n_vms)
+        .map(|_| {
+            let vm = b.add_vm(
+                src_host,
+                VmConfig {
+                    mem_bytes: 10 * GIB / sc,
+                    page_size: page,
+                    vcpus: 2,
+                    reservation_bytes: 11 * GIB / 2 / sc, // 5.5 GiB
+                    guest_os_bytes: 300 * MIB / sc,
+                },
+                swap_kind,
+            );
+            let model = workload(&mut b, vm);
+            b.attach_workload(vm, client_host, model);
+            b.enable_os_background(vm);
+            vm
+        })
+        .collect();
+    b.preload_layouts_interleaved(&vms, 256);
+
+    let mut sim = b.build();
+    start_all_workloads(&mut sim, SimTime::from_secs(1));
+    script(&mut sim, &vms);
+
+    let migrate_vm = vms[0];
+    sim.schedule_at(SimTime::from_secs(migrate_at_secs), move |sim| {
+        let src_cfg = paper_source_config(technique, sc);
+        let mig = start_fitted_migration(sim, migrate_vm, dst_host, src_cfg);
+        sim.schedule_every(
+            sim.now() + SimDuration::from_secs(1),
+            SimDuration::from_secs(1),
+            move |sim| {
+                if sim.state().migrations[mig].finished {
+                    rebalance_host(sim, src_host, slack);
+                    false
+                } else {
+                    true
+                }
+            },
+        );
+    });
+    (sim, vms)
 }

@@ -24,7 +24,7 @@ use agile_wss::WatermarkTrigger;
 
 use crate::build::{ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
-use crate::scenario::{set_reservation, Scenario};
+use crate::scenario::{paper_source_config, set_reservation, Scenario};
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
 use crate::world::World;
 
@@ -214,10 +214,7 @@ impl Scenario for MultihostConfig {
             max_in_flight: self.max_in_flight,
             hysteresis: self.hysteresis,
             cooldown: SimDuration::from_secs(600),
-            src_cfg: SourceConfig {
-                precopy_threshold_pages: (9_000 / sc as u32).max(64),
-                ..SourceConfig::new(Technique::Agile)
-            },
+            src_cfg: paper_source_config(Technique::Agile, sc),
             verify_content: true,
             ..SchedConfig::new(SourceConfig::new(Technique::Agile))
         };

@@ -31,12 +31,12 @@
 use agile_chaos::ChaosSchedule;
 use agile_sim_core::{Fnv1a, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, Signal, YcsbParams, YcsbRedis};
+use agile_workload::{Signal, YcsbParams};
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::clonectl::{self, CloneCtlConfig, HydrationMode};
 use crate::config::ClusterConfig;
-use crate::scenario::Scenario;
+use crate::scenario::{RedisLayout, Scenario};
 use crate::world::{WorkloadKind, World};
 
 /// Which cloning strategy an arm runs.
@@ -188,15 +188,7 @@ impl Scenario for ScaleoutConfig {
             },
             SwapKind::PerVmVmd,
         );
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[master].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
-        };
+        let gold_layout = RedisLayout::alloc(&mut b, master, dataset_bytes);
         b.preload_layout(master);
 
         // The bystander: over-committed, steadily faulting through the same
@@ -214,22 +206,10 @@ impl Scenario for ScaleoutConfig {
             },
             SwapKind::PerVmVmd,
         );
-        let (by_index, by_data) = {
-            let world = b.world_mut();
-            let layout = world.vms[bystander].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", ((by_dataset / 50) / page).max(4) as u32);
-            let dat = layout.alloc_region("redis-data", (by_dataset / page) as u32);
-            (idx, dat)
-        };
-        let by_model = YcsbRedis::new(
-            Dataset::new(by_data, by_dataset / 1024, 1024, page),
-            by_index,
-            KeyDist::UniformPrefix,
-            YcsbParams {
-                client_threads: 2,
-                ..YcsbParams::default()
-            },
-        );
+        let by_model = RedisLayout::alloc(&mut b, bystander, by_dataset).ycsb(YcsbParams {
+            client_threads: 2,
+            ..YcsbParams::default()
+        });
         b.attach_workload(bystander, client_host, WorkloadKind::Ycsb(by_model));
         b.preload_layout(bystander);
         // A paced probe, not a stress source: think time keeps its steady
@@ -283,15 +263,10 @@ impl Scenario for ScaleoutConfig {
                 // Update-heavy mix: each instance takes writes from the
                 // crowd and diverges from the gold image — dirtied shared
                 // pages are what the CoW machinery exists for.
-                let mut model = YcsbRedis::new(
-                    Dataset::new(data_region, dataset_bytes / 1024, 1024, page),
-                    index_region,
-                    KeyDist::UniformPrefix,
-                    YcsbParams {
-                        client_threads: 2,
-                        ..YcsbParams::update_heavy()
-                    },
-                );
+                let mut model = gold_layout.ycsb(YcsbParams {
+                    client_threads: 2,
+                    ..YcsbParams::update_heavy()
+                });
                 model.set_active_bytes(active);
                 WorkloadKind::Ycsb(model)
             });

@@ -9,15 +9,15 @@
 //! back through the swap device (thrashing against the guest in the busy
 //! case), while Agile ships 16-byte offsets and stays flat.
 
-use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimTime, GIB, MIB};
+use agile_migration::Technique;
+use agile_sim_core::{SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+use agile_workload::YcsbParams;
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
-use crate::migrate;
-use crate::world::WorkloadKind;
+use crate::scenario::{self, paper_source_config, start_fitted_migration, RedisLayout, Scenario};
+use crate::world::{WorkloadKind, World};
 
 /// One sweep point.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +60,7 @@ impl Default for SingleVmConfig {
 }
 
 /// One sweep point's outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SingleVmResult {
     /// Total migration time in seconds (Fig. 7).
     pub migration_secs: f64,
@@ -79,131 +79,116 @@ pub struct SingleVmResult {
 
 /// Run one sweep point.
 pub fn run(cfg: &SingleVmConfig) -> SingleVmResult {
-    let sc = cfg.scale.max(1);
-    let host_mem = cfg.host_mem / sc;
-    let vm_mem = cfg.vm_mem / sc;
-    let host_os = 300 * MIB / sc;
-    let guest_os = 300 * MIB / sc;
-    // The VM's reservation is whatever the host can give it (the paper
-    // relies on host-level swapping once the VM outgrows the host).
-    let reservation = (host_mem - host_os).min(vm_mem);
+    scenario::run(cfg)
+}
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
-    let agile = cfg.technique == Technique::Agile;
-    if agile {
-        let im = b.add_host("intermediate", 64 * GIB / sc, host_os, true);
-        b.add_vmd_server(im, 48 * GIB / sc, 0);
-        b.ensure_vmd_client(dst_host);
-    }
-    let swap_kind = if agile {
-        SwapKind::PerVmVmd
-    } else {
-        SwapKind::HostSsd
-    };
+impl Scenario for SingleVmConfig {
+    type Meta = ();
+    type Result = SingleVmResult;
 
-    let vm = b.add_vm(
-        src_host,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: reservation,
-            guest_os_bytes: guest_os,
-        },
-        swap_kind,
-    );
+    /// Build the world and schedule the migration after the warm-up.
+    fn setup(&self) -> (Simulation<World>, ()) {
+        let sc = self.scale.max(1);
+        let host_mem = self.host_mem / sc;
+        let vm_mem = self.vm_mem / sc;
+        let host_os = 300 * MIB / sc;
+        let guest_os = 300 * MIB / sc;
+        // The VM's reservation is whatever the host can give it (the paper
+        // relies on host-level swapping once the VM outgrows the host).
+        let reservation = (host_mem - host_os).min(vm_mem);
 
-    if cfg.busy {
-        // Redis dataset leaves ~500 MB of the VM free (paper wording).
-        let dataset_bytes = vm_mem.saturating_sub(500 * MIB / sc + guest_os);
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
+        let cluster_cfg = ClusterConfig {
+            seed: self.seed,
+            ..ClusterConfig::default()
         };
-        let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-        let model = YcsbRedis::new(
-            dataset,
-            index_region,
-            KeyDist::UniformPrefix,
-            YcsbParams::update_heavy(),
+        let page = cluster_cfg.page_size;
+        let mut b = ClusterBuilder::new(cluster_cfg);
+        let src_host = b.add_host("source", host_mem, host_os, true);
+        let dst_host = b.add_host("dest", host_mem, host_os, true);
+        let client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
+        let agile = self.technique == Technique::Agile;
+        if agile {
+            let im = b.add_host("intermediate", 64 * GIB / sc, host_os, true);
+            b.add_vmd_server(im, 48 * GIB / sc, 0);
+            b.ensure_vmd_client(dst_host);
+        }
+        let swap_kind = if agile {
+            SwapKind::PerVmVmd
+        } else {
+            SwapKind::HostSsd
+        };
+
+        let vm = b.add_vm(
+            src_host,
+            VmConfig {
+                mem_bytes: vm_mem,
+                page_size: page,
+                vcpus: 2,
+                reservation_bytes: reservation,
+                guest_os_bytes: guest_os,
+            },
+            swap_kind,
         );
-        b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
-        b.enable_os_background(vm);
-        b.preload_layout(vm);
-    } else {
-        // Idle: memory fully populated (so it all has to be transferred)
-        // but only the OS touches pages.
-        b.enable_os_background(vm);
-        let pages = (vm_mem / page) as u32;
-        b.preload_pages(vm, 0, pages);
+
+        if self.busy {
+            // Redis dataset leaves ~500 MB of the VM free (paper wording).
+            let dataset_bytes = vm_mem.saturating_sub(500 * MIB / sc + guest_os);
+            let model =
+                RedisLayout::alloc(&mut b, vm, dataset_bytes).ycsb(YcsbParams::update_heavy());
+            b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
+            b.enable_os_background(vm);
+            b.preload_layout(vm);
+        } else {
+            // Idle: memory fully populated (so it all has to be transferred)
+            // but only the OS touches pages.
+            b.enable_os_background(vm);
+            let pages = (vm_mem / page) as u32;
+            b.preload_pages(vm, 0, pages);
+        }
+
+        let mut sim = b.build();
+        if self.trace {
+            sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 16);
+        }
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+
+        let src_cfg = paper_source_config(self.technique, sc);
+        sim.schedule_at(SimTime::from_secs(self.warmup_secs), move |sim| {
+            start_fitted_migration(sim, vm, dst_host, src_cfg);
+        });
+        (sim, ())
     }
 
-    let mut sim = b.build();
-    if cfg.trace {
-        sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 16);
+    fn deadline(&self) -> SimTime {
+        SimTime::from_secs(self.deadline_secs)
     }
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
 
-    let technique = cfg.technique;
-    sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[vm].vm.config().mem_bytes)
-        };
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(technique)
-        };
-        migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
-    });
-
-    // Run until the migration completes (or the deadline).
-    let deadline = SimTime::from_secs(cfg.deadline_secs);
-    loop {
-        let next = sim.now() + agile_sim_core::SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        let done = sim
-            .state()
+    /// The migration has finished.
+    fn done(sim: &Simulation<World>, _meta: &()) -> bool {
+        sim.state()
             .migrations
             .first()
             .map(|m| m.finished)
-            .unwrap_or(false);
-        if done || sim.now() >= deadline {
-            break;
-        }
+            .unwrap_or(false)
     }
 
-    let metrics = sim.state().migrations[0].src.metrics().clone();
-    let timeline = crate::report::phase_timeline(sim.state(), 0, "single_vm", cfg.seed);
-    let trace_jsonl = cfg.trace.then(|| sim.state().trace.to_jsonl());
-    SingleVmResult {
-        migration_secs: metrics
-            .total_time()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN),
-        migration_bytes: metrics.migration_bytes,
-        downtime_secs: metrics
-            .downtime()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN),
-        metrics,
-        timeline,
-        trace_jsonl,
+    fn finish(&self, sim: Simulation<World>, _meta: ()) -> SingleVmResult {
+        let metrics = sim.state().migrations[0].src.metrics().clone();
+        let timeline = crate::report::phase_timeline(sim.state(), 0, "single_vm", self.seed);
+        let trace_jsonl = self.trace.then(|| sim.state().trace.to_jsonl());
+        SingleVmResult {
+            migration_secs: metrics
+                .total_time()
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(f64::NAN),
+            migration_bytes: metrics.migration_bytes,
+            downtime_secs: metrics
+                .downtime()
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(f64::NAN),
+            metrics,
+            timeline,
+            trace_jsonl,
+        }
     }
 }

@@ -38,8 +38,7 @@ use agile_vmd::{HeatPolicy, TierCapacity, TierSpec, TierStackConfig};
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::guest;
-use crate::migrate;
-use crate::scenario::Scenario;
+use crate::scenario::{start_fitted_migration, Scenario};
 use crate::world::{OpExec, World};
 
 /// Which spill stack backs a sweep point.
@@ -292,13 +291,6 @@ impl Scenario for TiersConfig {
         });
 
         sim.schedule_at(SimTime::from_secs(self.warmup_secs), move |sim| {
-            let dest_resv = {
-                let w = sim.state();
-                w.hosts[dst_host]
-                    .mem
-                    .available_for_vms()
-                    .min(w.vms[vm].vm.config().mem_bytes)
-            };
             // Round-capped pre-copy: one warm-up pass, then stop-and-copy.
             // The final pass pulls dirtied-then-evicted pages back through
             // the tier stack while the VM is suspended.
@@ -307,7 +299,7 @@ impl Scenario for TiersConfig {
                 precopy_max_rounds: 1,
                 ..SourceConfig::new(Technique::PreCopy)
             };
-            migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
+            start_fitted_migration(sim, vm, dst_host, src_cfg);
         });
 
         (sim, ())

@@ -9,11 +9,12 @@
 
 use agile_sim_core::{SimTime, GIB, MIB};
 use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+use agile_workload::YcsbParams;
 use agile_wss::ControllerParams;
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
+use crate::scenario::RedisLayout;
 use crate::world::WorkloadKind;
 use crate::wssctl;
 
@@ -95,26 +96,12 @@ pub fn run(cfg: &WssScenarioConfig) -> WssScenarioResult {
         },
         SwapKind::PerVmVmd,
     );
-    let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-    let data_pages = (dataset_bytes / page) as u32;
-    let (index_region, data_region) = {
-        let world = b.world_mut();
-        let layout = world.vms[vm].vm.layout_mut();
-        let idx = layout.alloc_region("redis-index", index_pages);
-        let dat = layout.alloc_region("redis-data", data_pages);
-        (idx, dat)
-    };
-    let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-    let model = YcsbRedis::new(
-        dataset,
-        index_region,
-        KeyDist::UniformPrefix,
-        YcsbParams::default(),
-    );
+    let redis = RedisLayout::alloc(&mut b, vm, dataset_bytes);
+    let model = redis.ycsb(YcsbParams::default());
     // The guest's working set: the queried dataset, the Redis index, and
     // the *hot* portion of the OS region (the background generator touches
     // 90% / 10% hotspot-style; the cold OS tail is not working set).
-    let true_wss_bytes = dataset_bytes + index_pages as u64 * page + guest_os / 10;
+    let true_wss_bytes = dataset_bytes + redis.index_bytes() + guest_os / 10;
     b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
     b.enable_os_background(vm);
     b.preload_layout(vm);

@@ -11,16 +11,12 @@
 //! adjustment) then gives the three remaining VMs enough memory and the
 //! average throughput recovers — how fast depends on the technique.
 
-use agile_migration::{SourceConfig, Technique};
+use agile_migration::Technique;
 use agile_sim_core::{SimTime, GIB, MIB};
-use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+use agile_workload::YcsbParams;
 
-use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
-use crate::config::ClusterConfig;
-use crate::migrate;
 use crate::report;
-use crate::scenario::{rebalance_host, set_ycsb_active_bytes, watch_completion};
+use crate::scenario::{overcommitted_testbed, rebalance_host, set_ycsb_active_bytes, RedisLayout};
 use crate::world::WorkloadKind;
 
 /// Configuration (defaults = the paper's §V-A setup).
@@ -88,115 +84,39 @@ pub struct YcsbScenarioResult {
 /// Run the scenario.
 pub fn run(cfg: &YcsbScenarioConfig) -> YcsbScenarioResult {
     let sc = cfg.scale.max(1);
-    let host_mem = 23 * GIB / sc;
-    let host_os = 200 * MIB / sc;
-    let vm_mem = 10 * GIB / sc;
-    let reservation = 11 * GIB / 2 / sc; // 5.5 GiB
     let dataset_bytes = 9 * GIB / sc;
     let active_small = 200 * MIB / sc;
     let active_large = 6 * GIB / sc;
-    let guest_os = 300 * MIB / sc;
     let slack = 256 * MIB / sc;
-
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let client_host = b.add_host("client", 16 * GIB / sc, host_os, false);
-    let agile = cfg.technique == Technique::Agile;
-    if agile {
-        let im = b.add_host("intermediate", 128 * GIB / sc, host_os, true);
-        b.add_vmd_server(im, 100 * GIB / sc, 0);
-        b.ensure_vmd_client(dst_host);
-    }
-    let swap_kind = if agile {
-        SwapKind::PerVmVmd
-    } else {
-        SwapKind::HostSsd
+    let params = YcsbParams {
+        read_ratio: cfg.read_ratio,
+        ..YcsbParams::default()
     };
 
-    let mut vms = Vec::new();
-    for i in 0..cfg.n_vms {
-        let vm = b.add_vm(
-            src_host,
-            VmConfig {
-                mem_bytes: vm_mem,
-                page_size: page,
-                vcpus: 2,
-                reservation_bytes: reservation,
-                guest_os_bytes: guest_os,
-            },
-            swap_kind,
-        );
-        // Redis layout: hash-table index ≈ 2% of the dataset, then values.
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
-        };
-        let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-        let mut model = YcsbRedis::new(
-            dataset,
-            index_region,
-            KeyDist::UniformPrefix,
-            YcsbParams {
-                read_ratio: cfg.read_ratio,
-                ..YcsbParams::default()
-            },
-        );
-        model.set_active_bytes(active_small);
-        b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
-        b.enable_os_background(vm);
-        vms.push(vm);
-        let _ = i;
-    }
-
-    // The four datasets load concurrently (the paper's 4 YCSB load
-    // clients): their eviction streams interleave on the shared swap
-    // partition.
-    b.preload_layouts_interleaved(&vms, 256);
-
-    let mut sim = b.build();
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-
-    // The ramp: one VM per step widens its query window, and the host's
-    // reservations are re-balanced to track working sets.
-    for (i, &vm) in vms.iter().enumerate() {
-        let at = SimTime::from_secs(cfg.ramp_start_secs + i as u64 * cfg.ramp_step_secs);
-        sim.schedule_at(at, move |sim| {
-            set_ycsb_active_bytes(sim, vm, active_large);
-            let host = sim.state().vms[vm].host;
-            rebalance_host(sim, host, slack);
-        });
-    }
-
-    // The migration, plus a watcher that re-balances the source once the
-    // migrated VM's memory is actually freed there.
-    let technique = cfg.technique;
-    let migrate_vm = vms[0];
-    sim.schedule_at(SimTime::from_secs(cfg.migrate_at_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[migrate_vm].vm.config().mem_bytes)
-        };
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(technique)
-        };
-        let mig = migrate::start_migration(sim, migrate_vm, dst_host, src_cfg, dest_resv);
-        watch_completion(sim, mig, src_host, slack);
-    });
+    let (mut sim, vms) = overcommitted_testbed(
+        cfg.technique,
+        sc,
+        cfg.seed,
+        cfg.n_vms,
+        cfg.migrate_at_secs,
+        |b, vm| {
+            let mut model = RedisLayout::alloc(b, vm, dataset_bytes).ycsb(params);
+            model.set_active_bytes(active_small);
+            WorkloadKind::Ycsb(model)
+        },
+        // The ramp: one VM per step widens its query window, and the
+        // host's reservations are re-balanced to track working sets.
+        |sim, vms| {
+            for (i, &vm) in vms.iter().enumerate() {
+                let at = SimTime::from_secs(cfg.ramp_start_secs + i as u64 * cfg.ramp_step_secs);
+                sim.schedule_at(at, move |sim| {
+                    set_ycsb_active_bytes(sim, vm, active_large);
+                    let host = sim.state().vms[vm].host;
+                    rebalance_host(sim, host, slack);
+                });
+            }
+        },
+    );
 
     sim.run_until(SimTime::from_secs(cfg.duration_secs));
     let events_executed = sim.events_executed();

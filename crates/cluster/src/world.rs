@@ -2,9 +2,15 @@
 //!
 //! `World` is the state type of the discrete-event [`agile_sim_core::Simulation`]; all
 //! executor logic lives in sibling modules as free functions over
-//! `&mut Simulation<World>`. Cross-references use plain indices — the
-//! world is single-threaded and slab-structured (perf-book idiom: no
-//! `Rc` cycles, no per-event allocation beyond closures).
+//! `&mut Simulation<World>`. Hosts, VMs and migrations refer to each
+//! other by plain indices, but four kinds of shared state are
+//! `Rc<RefCell<…>>` handles that swap backends hold alongside the world:
+//! the host SSDs ([`Host::ssd`]), the swap slot allocators
+//! ([`Host::swap_slots`], [`VmdSubsystem::allocators`]), the VMD clients
+//! ([`VmdClientEntry::client`]) and the VMD directory
+//! ([`VmdSubsystem::directory`]). They make `Simulation<World>` `!Send`;
+//! the argument that a world may still move between threads is the SAFETY
+//! comment on [`crate::shard::ShardCell`].
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};

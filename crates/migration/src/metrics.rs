@@ -29,7 +29,7 @@ impl std::fmt::Display for Technique {
 }
 
 /// Counters and timestamps for one migration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MigrationMetrics {
     /// Technique used.
     pub technique: Technique,

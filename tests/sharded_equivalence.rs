@@ -8,13 +8,18 @@
 
 use std::fmt::Debug;
 
+use agile_chaos::{ChaosProfile, ChaosSchedule};
 use agile_cluster::config::WssEstimatorKind;
+use agile_cluster::scenario::chaos::ChaosScenarioConfig;
 use agile_cluster::scenario::datacenter::{self, DatacenterConfig};
 use agile_cluster::scenario::diurnal::DiurnalConfig;
 use agile_cluster::scenario::estimators::EstimatorsConfig;
 use agile_cluster::scenario::multihost::MultihostConfig;
 use agile_cluster::scenario::pressure::PressureConfig;
+use agile_cluster::scenario::single_vm::SingleVmConfig;
 use agile_cluster::scenario::{self, Scenario};
+use agile_migration::Technique;
+use agile_sim_core::{SeedSequence, SimTime, GIB};
 
 /// Run every config alone, then all of them as shards of one harness at
 /// 1, 2 and 4 workers: each shard's whole result (report, trace, metrics,
@@ -132,6 +137,60 @@ fn estimator_arms_sharded_match_sequential_at_any_worker_count() {
         solo[0].trace_jsonl, solo[1].trace_jsonl,
         "the two arms produced identical traces — the estimator knob is dead"
     );
+}
+
+/// The single-VM sweep points of the golden-digest table (three
+/// techniques, idle and busy): each shard stops at its own migration's
+/// end while the others run on.
+#[test]
+fn single_vm_sharded_matches_sequential_at_any_worker_count() {
+    let cfgs: Vec<SingleVmConfig> = [Technique::PreCopy, Technique::PostCopy, Technique::Agile]
+        .into_iter()
+        .flat_map(|technique| {
+            [false, true].map(|busy| SingleVmConfig {
+                technique,
+                vm_mem: 4 * GIB,
+                host_mem: 6 * GIB,
+                busy,
+                scale: 64,
+                warmup_secs: 15,
+                deadline_secs: 2000,
+                trace: true,
+                ..SingleVmConfig::default()
+            })
+        })
+        .collect();
+    assert_shards_match(&cfgs);
+}
+
+/// The golden-digest chaos run (one generated VMD server crash during an
+/// Agile migration), plus the same profile at a second seed.
+#[test]
+fn chaos_sharded_matches_sequential_at_any_worker_count() {
+    let profile = ChaosProfile {
+        window_start: SimTime::from_secs(8),
+        window_end: SimTime::from_secs(13),
+        n_servers: 3,
+        server_crashes: 1,
+        ..ChaosProfile::default()
+    };
+    let cfgs: Vec<ChaosScenarioConfig> = [23u64, 7]
+        .into_iter()
+        .map(|seed| ChaosScenarioConfig {
+            scale: 64,
+            replication: 2,
+            vmd_servers: 3,
+            schedule: ChaosSchedule::generate(&profile, &SeedSequence::new(seed)),
+            warmup_secs: 10,
+            deadline_secs: 600,
+            seed,
+            trace: true,
+            ..ChaosScenarioConfig::default()
+        })
+        .collect();
+    for (i, r) in assert_shards_match(&cfgs).iter().enumerate() {
+        assert!(r.finished && r.slots_lost == 0, "replica {i}: {r:?}");
+    }
 }
 
 /// A different seed must change the datacenter's event stream (the
