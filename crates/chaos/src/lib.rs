@@ -154,8 +154,7 @@ impl ChaosSchedule {
         for _ in 0..profile.nic_degradations {
             let host = rng.index(profile.n_hosts.max(1) as u64) as u32;
             let at = draw_at(&mut rng);
-            let dur_us =
-                rng.exponential((profile.mean_fault_duration.as_nanos() / 1_000) as f64) as u64;
+            let dur_us = rng.exponential((MEAN_FAULT_DURATION.as_nanos() / 1_000) as f64) as u64;
             // Half the degradations are full partitions, half keep 10–50%.
             let bw_permille = if rng.chance(0.5) {
                 0
@@ -173,8 +172,7 @@ impl ChaosSchedule {
         for _ in 0..profile.swap_spikes {
             let host = rng.index(profile.n_hosts.max(1) as u64) as u32;
             let at = draw_at(&mut rng);
-            let dur_us =
-                rng.exponential((profile.mean_fault_duration.as_nanos() / 1_000) as f64) as u64;
+            let dur_us = rng.exponential((MEAN_FAULT_DURATION.as_nanos() / 1_000) as f64) as u64;
             let extra_us = 200 + rng.index(4800);
             b = b.fault(at, FaultKind::SwapSlow { host, extra_us });
             b = b.fault(
@@ -212,24 +210,6 @@ impl ChaosScheduleBuilder {
             .fault(at + downtime, FaultKind::ServerRejoin { server })
     }
 
-    /// Convenience: degrade `host`'s NIC for `duration`.
-    pub fn nic_outage(
-        self,
-        host: u32,
-        at: SimTime,
-        duration: SimDuration,
-        bw_permille: u32,
-    ) -> Self {
-        self.fault(at, FaultKind::NicDegrade { host, bw_permille })
-            .fault(at + duration, FaultKind::NicRestore { host })
-    }
-
-    /// Convenience: slow `host`'s swap device for `duration`.
-    pub fn swap_spike(self, host: u32, at: SimTime, duration: SimDuration, extra_us: u64) -> Self {
-        self.fault(at, FaultKind::SwapSlow { host, extra_us })
-            .fault(at + duration, FaultKind::SwapRestore { host })
-    }
-
     /// Finish: sort by time, keeping insertion order among ties.
     pub fn build(self) -> ChaosSchedule {
         let mut indexed: Vec<(usize, FaultEvent)> = self.events.into_iter().enumerate().collect();
@@ -240,9 +220,13 @@ impl ChaosScheduleBuilder {
     }
 }
 
+/// Mean duration of drawn NIC and swap episodes.
+const MEAN_FAULT_DURATION: SimDuration = SimDuration::from_secs(5);
+
 /// Parameters for randomly-drawn schedules (property sweeps). Events are
 /// drawn uniformly inside `[window_start, window_end)`; durations are
-/// exponential around their means.
+/// exponential around their means (`mean_downtime` for server outages,
+/// `MEAN_FAULT_DURATION` for NIC and swap episodes).
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosProfile {
     /// Earliest fault injection time.
@@ -265,8 +249,6 @@ pub struct ChaosProfile {
     pub swap_spikes: u32,
     /// Migration connection drops to draw.
     pub conn_drops: u32,
-    /// Mean duration of NIC and swap episodes.
-    pub mean_fault_duration: SimDuration,
 }
 
 impl Default for ChaosProfile {
@@ -282,7 +264,6 @@ impl Default for ChaosProfile {
             nic_degradations: 0,
             swap_spikes: 0,
             conn_drops: 0,
-            mean_fault_duration: SimDuration::from_secs(5),
         }
     }
 }

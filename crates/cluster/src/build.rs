@@ -9,14 +9,14 @@ use std::rc::Rc;
 
 use agile_memory::{HostMemory, SsdSwap};
 use agile_sim_core::{
-    Bandwidth, BlockDevice, DetRng, RackId, SimDuration, SimTime, Simulation, ThroughputMeter,
-    TimeSeries,
+    Bandwidth, BlockDevice, BlockDeviceSpec, RackId, SimDuration, SimTime, Simulation,
+    ThroughputMeter, TimeSeries,
 };
 use agile_vm::{HostId, Vm, VmConfig, VmId};
 use agile_vmd::{ClientId, ServerId, VmdClient, VmdServer, VmdSwapDevice};
 use agile_workload::OsBackground;
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, LINK_BW};
 use crate::world::{
     ClientBinding, Host, SwapDev, VmSlot, VmdClientEntry, VmdServerEntry, WorkloadKind, World,
 };
@@ -77,9 +77,10 @@ impl ClusterBuilder {
         os_overhead: u64,
         with_ssd: bool,
     ) -> usize {
-        let node = self.world.net.add_symmetric_node(self.world.cfg.link_bw);
+        let node = self.world.net.add_symmetric_node(LINK_BW);
+        // The testbed's swap partition is a SATA SSD on every host.
         let ssd =
-            with_ssd.then(|| Rc::new(RefCell::new(BlockDevice::new(self.world.cfg.ssd_spec))));
+            with_ssd.then(|| Rc::new(RefCell::new(BlockDevice::new(BlockDeviceSpec::sata_ssd()))));
         let swap_slots =
             with_ssd.then(|| Rc::new(RefCell::new(agile_memory::SlotAllocator::unbounded())));
         self.world.hosts.push(Host {
@@ -264,8 +265,7 @@ impl ClusterBuilder {
         if !writes.is_empty() && self.world.vms[vm_idx].swap.is_vmd() {
             for (pfn, s) in writes {
                 let version = self.world.vms[vm_idx].vm.memory().version(pfn);
-                let req = self.world.next_req;
-                self.world.next_req += 1;
+                let req = self.world.swap_reqs.next_id();
                 let _ = self.world.vms[vm_idx]
                     .swap
                     .backend()
@@ -380,11 +380,6 @@ pub fn start_all_workloads(sim: &mut Simulation<World>, at: SimTime) {
             guest::start_os_bg(sim, vm_idx, at);
         }
     }
-}
-
-/// Helper: a deterministic RNG stream for ad-hoc scenario decisions.
-pub fn scenario_rng(sim: &Simulation<World>, label: &str) -> DetRng {
-    sim.state().seeds.stream(label)
 }
 
 /// Pump VMD client↔server messages synchronously (zero simulated time);

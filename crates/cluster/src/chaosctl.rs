@@ -265,7 +265,7 @@ fn nic_set(sim: &mut Simulation<World>, host: usize, permille: u32) {
         return;
     }
     let bw = Bandwidth::bytes_per_sec(
-        w.cfg.link_bw.as_bytes_per_sec() * f64::from(permille.min(1000)) / 1000.0,
+        crate::config::LINK_BW.as_bytes_per_sec() * f64::from(permille.min(1000)) / 1000.0,
     );
     let node = w.hosts[host].node;
     w.net.set_node_bw(now, node, bw, bw);

@@ -678,7 +678,6 @@ pub(crate) fn hydrate_tick(sim: &mut Simulation<World>, clone_idx: usize) {
         let World {
             vms,
             swap_reqs,
-            next_req,
             clone,
             ..
         } = sim.state_mut();
@@ -703,9 +702,7 @@ pub(crate) fn hydrate_tick(sim: &mut Simulation<World>, clone_idx: usize) {
                     waiters: Vec::new(),
                     issued: true,
                 });
-            let req = *next_req;
-            *next_req += 1;
-            swap_reqs.insert(req, SwapReqCtx::CloneHydrate { vm: vm_idx, pfn });
+            let req = swap_reqs.insert(SwapReqCtx::CloneHydrate { vm: vm_idx, pfn });
             let SwapDev::Vmd(v) = &mut slot.swap else {
                 unreachable!("clones always swap to VMD");
             };

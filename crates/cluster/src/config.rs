@@ -2,9 +2,21 @@
 //!
 //! Defaults reproduce the paper's testbed (§V): 1 Gbps Ethernet behind a
 //! ToR switch, SATA-SSD swap, 4 KB pages, Linux-like swap readahead.
+//! Testbed values no scenario varies are constants, not fields (DESIGN
+//! §8, "Configuration surface"); the ones several modules read live here.
 
-use agile_sim_core::{Bandwidth, BlockDeviceSpec, SimDuration};
+use agile_sim_core::{Bandwidth, SimDuration};
 use agile_vmd::TierStackConfig;
+
+/// NIC bandwidth (full duplex, per direction): the testbed's 1 GbE.
+pub const LINK_BW: Bandwidth = Bandwidth::gbps(1.0);
+
+/// One-way propagation delay through the switch.
+pub const PROP_DELAY: SimDuration = SimDuration::from_micros(50);
+
+/// VMD server request-processing delay (kernel TCP receive + hash
+/// lookup + page copy on the paper's 2.1 GHz Xeons).
+pub const VMD_SERVER_DELAY: SimDuration = SimDuration::from_micros(40);
 
 /// Which working-set estimator `wssctl::enable_tracking` installs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,23 +35,10 @@ pub enum WssEstimatorKind {
 pub struct ClusterConfig {
     /// Guest/host page size.
     pub page_size: u64,
-    /// NIC bandwidth (full duplex, per direction).
-    pub link_bw: Bandwidth,
-    /// One-way propagation delay through the switch.
-    pub prop_delay: SimDuration,
-    /// Swap-device spec for host SSD swap partitions.
-    pub ssd_spec: BlockDeviceSpec,
     /// Pages read from swap per guest major fault (Linux `page-cluster`
     /// readahead: 1 wanted + N-1 speculative; speculative reads are wasted
     /// IOPS under random access). VMD reads are always exact (KV store).
     pub guest_readahead_pages: u32,
-    /// Migration-channel flow-control window, in chunks.
-    pub migration_window: usize,
-    /// VMD server request-processing delay (kernel TCP receive + hash
-    /// lookup + page copy on the paper's 2.1 GHz Xeons).
-    pub vmd_server_delay: SimDuration,
-    /// Per-minor-fault CPU cost (zero-fill).
-    pub minor_fault_cost: SimDuration,
     /// Replication factor for VMD writes (1 = unreplicated, the paper's
     /// baseline; k > 1 places every slot on k distinct intermediate hosts
     /// so a server crash loses no swapped-out state).
@@ -57,18 +56,8 @@ pub struct ClusterConfig {
     /// zswap-like compressed memory or CXL-like far-memory tiers with
     /// their own capacity/latency points (see [`agile_vmd::tier`]).
     pub vmd_tiers: TierStackConfig,
-    /// Simulated-PML log capacity in entries (real hardware: 512; the
-    /// buffer overflows into a full PTE-bit scan at drain).
-    pub pml_log_cap: u32,
     /// PML sampling epoch (fixed cadence; no fast/slow switch).
     pub pml_epoch: SimDuration,
-    /// PML sliding window, in epochs, the estimate is the max over.
-    pub pml_window: u32,
-    /// PML reservation headroom: reservation = estimate × num / den.
-    /// `den` must divide `page_size` (exactly-linear sizing).
-    pub pml_headroom_num: u64,
-    /// PML reservation headroom denominator.
-    pub pml_headroom_den: u64,
     /// Serialize reads served by `Fixed`-backed spill tiers (zswap/CXL-like
     /// far memory) through a per-(server, tier) queue: a second concurrent
     /// read waits for the first to finish instead of overlapping for free.
@@ -83,22 +72,12 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             page_size: 4096,
-            link_bw: Bandwidth::gbps(1.0),
-            prop_delay: SimDuration::from_micros(50),
-            ssd_spec: BlockDeviceSpec::sata_ssd(),
             guest_readahead_pages: 8,
-            migration_window: 4,
-            vmd_server_delay: SimDuration::from_micros(40),
-            minor_fault_cost: SimDuration::from_micros(2),
             vmd_replication: 1,
             vmd_detect_delay: SimDuration::from_millis(500),
             wss_estimator: WssEstimatorKind::default(),
             vmd_tiers: TierStackConfig::legacy(),
-            pml_log_cap: 512,
             pml_epoch: SimDuration::from_secs(2),
-            pml_window: 3,
-            pml_headroom_num: 5,
-            pml_headroom_den: 4,
             vmd_fixed_tier_queueing: false,
             seed: 42,
         }
@@ -113,7 +92,9 @@ mod tests {
     fn defaults_match_testbed() {
         let c = ClusterConfig::default();
         assert_eq!(c.page_size, 4096);
-        assert!((c.link_bw.as_bytes_per_sec() - 125e6).abs() < 1.0);
+        assert_eq!(LINK_BW.as_bytes_per_sec(), 125e6);
+        assert_eq!(PROP_DELAY, SimDuration::from_micros(50));
+        assert_eq!(VMD_SERVER_DELAY, SimDuration::from_micros(40));
         assert!(c.guest_readahead_pages >= 1);
         // The default tier stack must be the legacy pair — every golden
         // trace replays byte-identically only under this invariant.

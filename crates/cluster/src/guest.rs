@@ -52,7 +52,6 @@ pub fn charge_evictions(
             vms,
             migrations,
             swap_reqs,
-            next_req,
             ..
         } = sim.state_mut();
         let dev: &mut SwapDev = match target {
@@ -99,12 +98,10 @@ pub fn charge_evictions(
                             migrations[m].source_swap.as_mut().expect("source swap")
                         }
                     };
-                    let req = *next_req;
-                    *next_req += 1;
-                    swap_reqs.insert(req, SwapReqCtx::EvictionWrite);
+                    let req = swap_reqs.insert(SwapReqCtx::EvictionWrite);
                     match dev.backend().write(now, ev.slot, version, req) {
                         SwapIssue::CompleteAt(_) => {
-                            swap_reqs.remove(&req);
+                            swap_reqs.remove(req);
                         }
                         SwapIssue::Pending => any_vmd = true,
                     }
@@ -249,6 +246,9 @@ pub fn try_dispatch(sim: &mut Simulation<World>, vm_idx: usize) {
     }
 }
 
+/// Per-minor-fault CPU cost (zero-fill).
+const MINOR_FAULT_COST: SimDuration = SimDuration::from_micros(2);
+
 /// Advance one operation: touch pages (parking on faults) then burn CPU.
 pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
     loop {
@@ -370,7 +370,6 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
                 }
             }
             Touch::MinorFault => {
-                let minor_cost = sim.state().cfg.minor_fault_cost;
                 let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
                 buf.clear();
                 sim.state_mut().vms[vm_idx]
@@ -382,7 +381,7 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
                 sim.state_mut().evict_buf = buf;
                 if let Some(op) = sim.state_mut().ops[id].as_mut() {
                     op.idx += 1;
-                    op.cpu += minor_cost;
+                    op.cpu += MINOR_FAULT_COST;
                 }
             }
             Touch::MajorFault { slot } => {
@@ -479,25 +478,19 @@ fn issue_major_fault(
             cfg,
             vms,
             swap_reqs,
-            next_req,
             ..
         } = sim.state_mut();
         vms[vm_idx].vm.memory_mut().begin_swap_in(pfn);
         let epoch = vms[vm_idx].mem_epoch;
         let dest_stat =
             matches!(vms[vm_idx].vm.state(), VmState::PostCopy { .. }) && vms[vm_idx].swap.is_vmd();
-        let req = *next_req;
-        *next_req += 1;
-        swap_reqs.insert(
-            req,
-            SwapReqCtx::GuestFault {
-                vm: vm_idx,
-                pfn,
-                epoch,
-                dest_stat,
-                issued: now,
-            },
-        );
+        let req = swap_reqs.insert(SwapReqCtx::GuestFault {
+            vm: vm_idx,
+            pfn,
+            epoch,
+            dest_stat,
+            issued: now,
+        });
         let readahead = if vms[vm_idx].swap.is_vmd() {
             1
         } else {

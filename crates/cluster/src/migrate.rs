@@ -178,13 +178,16 @@ fn drive_src(sim: &mut Simulation<World>, mig: usize, ev: SourceEvent) -> Vec<So
     m.src.on_event(now, ev, mem)
 }
 
+/// Migration-channel flow-control window, in chunks.
+const MIGRATION_WINDOW: usize = 4;
+
 /// Keep the bulk stream's window full.
 fn pump(sim: &mut Simulation<World>, mig: usize) {
     loop {
         let proceed = {
             let w = sim.state();
             let m = &w.migrations[mig];
-            !m.src_done && !m.finished && m.in_flight < w.cfg.migration_window
+            !m.src_done && !m.finished && m.in_flight < MIGRATION_WINDOW
         };
         if !proceed {
             return;
@@ -217,7 +220,7 @@ fn process_cmds(sim: &mut Simulation<World>, mig: usize, cmds: Vec<SourceCmd>) {
                         priority,
                     },
                 );
-                let key = w.stash_chunk(chunk);
+                let key = w.chunks.insert(chunk);
                 let m = &mut w.migrations[mig];
                 let ch = if priority { m.demand_ch } else { m.stream_ch };
                 if priority {
@@ -298,7 +301,6 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
             vms,
             migrations,
             swap_reqs,
-            next_req,
             swapin_piggyback,
             ..
         } = sim.state_mut();
@@ -344,9 +346,7 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
             match dev {
                 SwapDev::Ssd(_) => ssd_reads.push((pfn, slot)),
                 SwapDev::Vmd(v) => {
-                    let req = *next_req;
-                    *next_req += 1;
-                    swap_reqs.insert(req, SwapReqCtx::MigrationSwapIn { mig, batch, pfn });
+                    let req = swap_reqs.insert(SwapReqCtx::MigrationSwapIn { mig, batch, pfn });
                     match agile_memory::SwapBackend::read(v, now, slot, req) {
                         SwapIssue::CompleteAt(t) => scheduled.push((t, req)),
                         SwapIssue::Pending => pending_vmd = true,
@@ -366,9 +366,7 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
             for run in slot_runs(ssd_reads) {
                 let done = ssd.read_run(now, run.len() as u64);
                 for (pfn, _) in run {
-                    let req = *next_req;
-                    *next_req += 1;
-                    swap_reqs.insert(req, SwapReqCtx::MigrationSwapIn { mig, batch, pfn });
+                    let req = swap_reqs.insert(SwapReqCtx::MigrationSwapIn { mig, batch, pfn });
                     scheduled.push((done, req));
                 }
             }
@@ -464,7 +462,7 @@ pub fn on_chunk_delivered(sim: &mut Simulation<World>, mig: usize, chunk_key: u6
     let chunk = sim
         .state_mut()
         .chunks
-        .remove(&chunk_key)
+        .remove(chunk_key)
         .expect("unknown chunk");
     let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
     buf.clear();

@@ -67,7 +67,7 @@ fn dispatch(sim: &mut Simulation<World>, d: Delivery) {
     let payload = sim
         .state_mut()
         .payloads
-        .remove(&d.tag)
+        .remove(d.tag)
         .expect("delivery with unknown tag");
     match payload {
         NetPayload::Request { vm, op, counts } => guest::on_request(sim, vm, op, counts),

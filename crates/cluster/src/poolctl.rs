@@ -21,8 +21,8 @@
 //!    utilization spread crosses the configured threshold, slots move from
 //!    the most- to the least-utilized server (deterministic plan, paced).
 //!
-//! Backpressure hooks: above [`PoolConfig::high_water`] pool pressure,
-//! guest eviction flushes are delayed ([`throttle_delay`]) and the WSS
+//! Backpressure hooks: above `HIGH_WATER` pool pressure, guest eviction
+//! flushes are delayed by `THROTTLE` and the WSS
 //! controller defers reservation *shrinks* ([`under_pressure`]) — growing a
 //! VM's reservation frees pool pages; shrinking it would add swap traffic
 //! exactly when the pool has nowhere to put it.
@@ -36,46 +36,37 @@ use agile_sim_core::{FastEvent, SimDuration, Simulation};
 use agile_vmd::pool::{pool_pressure, utilization_spread, ReclaimTarget};
 use agile_vmd::{LeaseConfig, LeaseController, NamespaceId, PoolPlanner, ServerId, ServerLoad};
 
+use crate::config::{LINK_BW, PROP_DELAY, VMD_SERVER_DELAY};
 use crate::guest;
 use crate::netdrv::touch_net;
 use crate::world::{NetPayload, World};
 
-/// Tuning for the pool manager.
+/// Interval between pool ticks.
+const PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// Relocations issued per tick across all servers (pacing keeps reclaim
+/// traffic from starving foreground paging).
+const RELOCATIONS_PER_TICK: usize = 64;
+
+/// Relocations per rebalance action.
+const REBALANCE_BATCH: usize = 32;
+
+/// Pool pressure (stored / leased) above which admission control
+/// engages: eviction flushes throttle and WSS shrinks defer.
+const HIGH_WATER: f64 = 0.90;
+
+/// Delay added to eviction flushes while above `HIGH_WATER`.
+const THROTTLE: SimDuration = SimDuration::from_millis(2);
+
+/// Tuning for the pool manager (pacing and admission control are the
+/// constants above; every server's lease controller runs
+/// [`LeaseConfig::default`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
-    /// Interval between pool ticks.
-    pub period: SimDuration,
-    /// Relocations issued per tick across all servers (pacing keeps
-    /// reclaim traffic from starving foreground paging).
-    pub relocations_per_tick: usize,
     /// Whether the skew-aware rebalancer runs.
     pub rebalance: bool,
     /// Utilization spread that triggers a rebalance move.
     pub rebalance_threshold: f64,
-    /// Relocations per rebalance action.
-    pub rebalance_batch: usize,
-    /// Pool pressure (stored / leased) above which admission control
-    /// engages: eviction flushes throttle and WSS shrinks defer.
-    pub high_water: f64,
-    /// Delay added to eviction flushes while above the high water mark.
-    pub throttle: SimDuration,
-    /// Per-server lease controller tuning.
-    pub lease: LeaseConfig,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            period: SimDuration::from_millis(500),
-            relocations_per_tick: 64,
-            rebalance: true,
-            rebalance_threshold: 0.15,
-            rebalance_batch: 32,
-            high_water: 0.90,
-            throttle: SimDuration::from_millis(2),
-            lease: LeaseConfig::default(),
-        }
-    }
 }
 
 /// What the pool manager did, for reports and assertions.
@@ -141,14 +132,13 @@ fn pool_timer() -> FastEvent {
 /// Arm the pool manager. Leases start at each server's full capacity (the
 /// legacy fixed contribution) and adapt from the first tick's samples.
 pub fn arm_pool(sim: &mut Simulation<World>, cfg: PoolConfig) {
-    let period = cfg.period;
     let w = sim.state_mut();
     assert!(w.pool.is_none(), "pool manager armed twice");
     let lease_ctl = w
         .vmd
         .servers
         .iter()
-        .map(|_| LeaseController::new(cfg.lease))
+        .map(|_| LeaseController::new(LeaseConfig::default()))
         .collect();
     w.pool = Some(PoolExec {
         cfg,
@@ -158,7 +148,7 @@ pub fn arm_pool(sim: &mut Simulation<World>, cfg: PoolConfig) {
         armed: true,
         stalled: false,
     });
-    sim.schedule_fast_in(period, pool_timer());
+    sim.schedule_fast_in(PERIOD, pool_timer());
 }
 
 /// Stop the pool manager after the current tick. Leases stay where they
@@ -178,11 +168,10 @@ pub(crate) fn tick(sim: &mut Simulation<World>) {
     if !p.armed {
         return;
     }
-    let period = p.cfg.period;
     update_leases(sim);
     reclaim(sim);
     rebalance(sim);
-    sim.schedule_fast_in(period, pool_timer());
+    sim.schedule_fast_in(PERIOD, pool_timer());
 }
 
 /// Sample every donor host's ledger and resize its server's lease.
@@ -265,11 +254,7 @@ fn update_leases(sim: &mut Simulation<World>) {
 fn reclaim(sim: &mut Simulation<World>) {
     let now = sim.now();
     let n_servers = sim.state().vmd.servers.len();
-    let mut budget = sim
-        .state()
-        .pool
-        .as_ref()
-        .map_or(0, |p| p.cfg.relocations_per_tick);
+    let mut budget = RELOCATIONS_PER_TICK;
     let mut issued = false;
     for s in 0..n_servers {
         if budget == 0 {
@@ -303,10 +288,10 @@ fn reclaim(sim: &mut Simulation<World>) {
             let w = sim.state();
             w.cfg.vmd_tiers.heat.enabled && {
                 let relocation = agile_vmd::pool::relocation_cost(
-                    w.cfg.prop_delay,
-                    w.cfg.vmd_server_delay,
+                    PROP_DELAY,
+                    VMD_SERVER_DELAY,
                     w.cfg.page_size,
-                    w.cfg.link_bw.as_bytes_per_sec() as u64,
+                    LINK_BW.as_bytes_per_sec() as u64,
                 );
                 let server = &w.vmd.servers[s].server;
                 agile_vmd::pool::reclaim_target(server.best_demotion_cost(), headroom, relocation)
@@ -418,9 +403,8 @@ fn rebalance(sim: &mut Simulation<World>) {
     let (sid_from, sid_to) = (ServerId(from), ServerId(to));
     let (want, batch) = {
         let w = sim.state();
-        let p = w.pool.as_ref().expect("pool armed");
         let dest_free = w.vmd.servers[to as usize].server.free_pages() as usize;
-        let want = p.cfg.rebalance_batch.min(dest_free);
+        let want = REBALANCE_BATCH.min(dest_free);
         // Over-fetch candidates: with small replica fleets many of the hot
         // server's coldest slots already have a replica on the destination
         // and are skipped below.
@@ -530,7 +514,7 @@ pub fn leased_free_pages(w: &World) -> u64 {
 /// control for WSS reservation shrinks). Always false when unarmed.
 pub fn under_pressure(w: &World) -> bool {
     match &w.pool {
-        Some(p) if p.armed => pressure(w) > p.cfg.high_water,
+        Some(p) if p.armed => pressure(w) > HIGH_WATER,
         _ => false,
     }
 }
@@ -538,7 +522,7 @@ pub fn under_pressure(w: &World) -> bool {
 /// Eviction-flush delay while above the high water mark, `None` otherwise.
 pub(crate) fn throttle_delay(w: &World) -> Option<SimDuration> {
     match &w.pool {
-        Some(p) if p.armed && pressure(w) > p.cfg.high_water => Some(p.cfg.throttle),
+        Some(p) if p.armed && pressure(w) > HIGH_WATER => Some(THROTTLE),
         _ => None,
     }
 }
@@ -559,7 +543,7 @@ pub fn relocations_inflight(w: &World) -> bool {
 }
 
 /// True while the armed rebalancer would still issue a move (quiescence
-/// checks — mirrors the plan step of [`tick`]).
+/// checks — mirrors the plan step of the pool tick).
 pub fn rebalance_pending(w: &World) -> bool {
     match &w.pool {
         Some(p) if p.armed && p.cfg.rebalance => {

@@ -13,7 +13,7 @@
 //!
 //! 1. keep a ring of the most recent `window` samples per host;
 //! 2. compute the normalized autocorrelation `r(L)` for every candidate
-//!    lag `L` in `[min_period, max_period]` that at least two full
+//!    lag `L` in `[MIN_PERIOD, MAX_PERIOD]` that at least two full
 //!    epochs of data support; the best `r` is the cycle *confidence*;
 //! 3. fold the sample history into `L` phase bins (epoch folding) and
 //!    take the bin with the minimal mean as the *trough phase*.
@@ -23,35 +23,25 @@
 //! power-of-two amplitude scalings) exactly scale-invariant, which the
 //! metamorphic suite pins.
 
-use agile_sim_core::SimDuration;
+/// Shortest candidate period, in scheduler ticks.
+const MIN_PERIOD: usize = 4;
+
+/// Longest candidate period, in scheduler ticks.
+const MAX_PERIOD: usize = 32;
 
 /// Cycle-predictor configuration (lives inside the scheduler's
 /// deferral layer, see [`crate::sched::arm_predictor`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PredictConfig {
-    /// Samples of history retained per host.
-    pub window: usize,
-    /// Shortest candidate period, in scheduler ticks.
-    pub min_period: usize,
-    /// Longest candidate period, in scheduler ticks.
-    pub max_period: usize,
     /// Minimum autocorrelation for a cycle to be trusted; below this the
     /// scheduler falls back to naive watermark firing.
     pub min_confidence: f64,
-    /// Bound on how long a selected VM may wait for its trough. A
-    /// predicted trough beyond this window clamps to the window's end
-    /// (counted as a deferral-window expiry).
-    pub max_defer: SimDuration,
 }
 
 impl Default for PredictConfig {
     fn default() -> Self {
         PredictConfig {
-            window: 64,
-            min_period: 4,
-            max_period: 32,
             min_confidence: 0.5,
-            max_defer: SimDuration::from_secs(120),
         }
     }
 }
@@ -128,14 +118,14 @@ impl CycleDetector {
     }
 
     /// Detect the strongest cycle, if any lag in
-    /// `[cfg.min_period, cfg.max_period]` reaches `cfg.min_confidence`.
+    /// `[MIN_PERIOD, MAX_PERIOD]` reaches `cfg.min_confidence`.
     ///
     /// Ties break toward the *shortest* period (the fundamental beats
     /// its harmonics), and the trough phase breaks ties toward the
     /// earliest bin — both deterministic.
     pub fn detect(&self, cfg: &PredictConfig) -> Option<Cycle> {
         let n = self.len;
-        if n < 2 * cfg.min_period.max(2) {
+        if n < 2 * MIN_PERIOD {
             return None;
         }
         let nf = n as f64;
@@ -153,8 +143,8 @@ impl CycleDetector {
             return None; // flat signal: no cycle
         }
         let mut best: Option<(usize, f64)> = None;
-        let max_lag = cfg.max_period.min(n / 2);
-        for lag in cfg.min_period..=max_lag {
+        let max_lag = MAX_PERIOD.min(n / 2);
+        for lag in MIN_PERIOD..=max_lag {
             let mut num = 0.0;
             for i in 0..n - lag {
                 num += (self.at(i) - mean) * (self.at(i + lag) - mean);
@@ -229,7 +219,7 @@ pub struct DeferredMig {
     pub fire_at: agile_sim_core::SimTime,
     /// Host aggregate WSS at selection time (hit/miss baseline).
     pub load_at_defer: u64,
-    /// True when `fire_at` was clamped by `max_defer`.
+    /// True when `fire_at` was clamped by the deferral bound.
     pub clamped: bool,
 }
 

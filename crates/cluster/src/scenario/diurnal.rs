@@ -324,8 +324,6 @@ impl Scenario for DiurnalConfig {
                 &mut sim,
                 PredictConfig {
                     min_confidence: 0.4,
-                    max_defer: SimDuration::from_secs(120),
-                    ..PredictConfig::default()
                 },
             );
         }

@@ -222,7 +222,6 @@ impl Scenario for EstimatorsConfig {
             ..ClusterConfig::default()
         };
         let page = cluster_cfg.page_size;
-        let pml_log_cap = cluster_cfg.pml_log_cap as usize;
         let mut b = ClusterBuilder::new(cluster_cfg);
 
         let packed = b.add_host("host0", host_mem, host_os, false);
@@ -305,7 +304,7 @@ impl Scenario for EstimatorsConfig {
         for &vm in &vms {
             wssctl::enable_tracking(&mut sim, vm, params, SimTime::from_secs(2));
             if self.estimator == WssEstimatorKind::SwapIo {
-                wssctl::arm_oracle(&mut sim, vm, pml_log_cap);
+                wssctl::arm_oracle(&mut sim, vm, wssctl::PML_LOG_CAP);
             }
         }
 

@@ -224,7 +224,6 @@ impl Scenario for PressureConfig {
             PoolConfig {
                 rebalance: self.rebalance,
                 rebalance_threshold: self.rebalance_threshold,
-                ..PoolConfig::default()
             },
         );
         let initial_leases: Vec<u64> = sim

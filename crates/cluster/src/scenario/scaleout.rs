@@ -150,13 +150,12 @@ impl Scenario for ScaleoutConfig {
         let clone_res = master_mem / 2;
         let host_os = 64 * MIB / sc;
 
-        let mut cluster_cfg = ClusterConfig {
+        let cluster_cfg = ClusterConfig {
             seed: self.seed,
             vmd_replication: if self.chaos { 2 } else { 1 },
             ..ClusterConfig::default()
         };
         let page = cluster_cfg.page_size;
-        cluster_cfg.vmd_detect_delay = SimDuration::from_millis(500);
 
         let mut b = ClusterBuilder::new(cluster_cfg);
         let gold = b.add_host("gold", 2 * GIB / sc, host_os, false);

@@ -10,7 +10,7 @@
 
 use agile_migration::Technique;
 use agile_sim_core::{SimTime, GIB, MIB};
-use agile_workload::{Dataset, KeyDist, OltpParams, SysbenchOltp};
+use agile_workload::{Dataset, KeyDist, SysbenchOltp};
 
 use crate::report;
 use crate::scenario::overcommitted_testbed;
@@ -88,7 +88,6 @@ pub fn run(cfg: &SysbenchScenarioConfig) -> SysbenchScenarioResult {
                 index_region,
                 log_region,
                 KeyDist::UniformPrefix,
-                OltpParams::default(),
             ))
         },
         |_, _| {},

@@ -214,11 +214,19 @@ pub fn disarm_scheduler(sim: &mut Simulation<World>) {
     }
 }
 
+/// Samples of history the cycle predictor retains per managed host.
+const PREDICT_WINDOW: usize = 64;
+
+/// Bound on how long a selected VM may wait for its predicted trough. A
+/// trough beyond it clamps to the bound (counted as a deferral-window
+/// expiry).
+const MAX_DEFER: SimDuration = SimDuration::from_secs(120);
+
 /// Overlay the cycle predictor on an armed scheduler: each tick samples
 /// every managed host's aggregate WSS into a per-host
 /// [`crate::predict::CycleDetector`], and watermark selections on hosts
 /// with a confident cycle are deferred to the predicted trough (bounded
-/// by `cfg.max_defer`) instead of firing immediately. Unarmed, the
+/// by `MAX_DEFER`) instead of firing immediately. Unarmed, the
 /// scheduler is byte-identical to the plain watermark scheduler.
 pub fn arm_predictor(sim: &mut Simulation<World>, cfg: crate::predict::PredictConfig) {
     let s = sim
@@ -227,14 +235,10 @@ pub fn arm_predictor(sim: &mut Simulation<World>, cfg: crate::predict::PredictCo
         .as_mut()
         .expect("arm the scheduler before the predictor");
     assert!(s.predict.is_none(), "predictor already armed");
-    assert!(
-        cfg.min_period >= 2 && cfg.max_period >= cfg.min_period,
-        "bad period range"
-    );
     let n = s.hosts.len();
     s.predict = Some(crate::predict::PredictExec {
         cfg,
-        detectors: vec![crate::predict::CycleDetector::new(cfg.window); n],
+        detectors: vec![crate::predict::CycleDetector::new(PREDICT_WINDOW); n],
         had_cycle: vec![false; n],
         cycles: vec![None; n],
         deferred: Vec::new(),
@@ -348,7 +352,7 @@ fn try_defer(sim: &mut Simulation<World>, vm: usize, src: usize, host_slot: usiz
         // share the source NIC and re-create the interference the
         // deferral avoids. Stagger same-source deferrals across
         // successive troughs, one full cycle apart (still bounded by
-        // `max_defer` below).
+        // `MAX_DEFER` below).
         let cycle_len = SimDuration::from_nanos(period.as_nanos() * cycle.period as u64);
         let half = SimDuration::from_nanos(cycle_len.as_nanos() / 2);
         while p.deferred.iter().any(|d| {
@@ -361,9 +365,8 @@ fn try_defer(sim: &mut Simulation<World>, vm: usize, src: usize, host_slot: usiz
         }) {
             wait += cycle_len;
         }
-        let bound = p.cfg.max_defer;
-        if wait > bound {
-            (now + bound, true, host_aggregate(w, src))
+        if wait > MAX_DEFER {
+            (now + MAX_DEFER, true, host_aggregate(w, src))
         } else {
             (now + wait, false, host_aggregate(w, src))
         }

@@ -5,6 +5,7 @@
 use agile_sim_core::Simulation;
 use agile_vmd::{ClientMsg, ServerId, ServerMsg, TierBacking, VmdCompletion};
 
+use crate::config::VMD_SERVER_DELAY;
 use crate::netdrv::touch_net;
 use crate::world::{NetPayload, SwapReqCtx, World};
 use crate::{guest, migrate};
@@ -73,8 +74,7 @@ pub fn on_server_recv(
     client_idx: usize,
     msg: ClientMsg,
 ) {
-    let delay = sim.state().cfg.vmd_server_delay;
-    sim.schedule_in(delay, move |sim| {
+    sim.schedule_in(VMD_SERVER_DELAY, move |sim| {
         let now = sim.now();
         let page_size = sim.state().cfg.page_size;
         let (reply, tier) = {
@@ -215,7 +215,7 @@ pub fn handle_completion(sim: &mut Simulation<World>, client_idx: usize, c: VmdC
         VmdCompletion::ReadDone { req, .. } => resolve_swap_completion(sim, req),
         VmdCompletion::WriteDone { req } => {
             // Eviction write-backs need no follow-up.
-            sim.state_mut().swap_reqs.remove(&req);
+            sim.state_mut().swap_reqs.remove(req);
         }
         VmdCompletion::ReadFailed { req, .. } => {
             // Every replica is gone: the read's content is lost. Unblock
@@ -313,7 +313,7 @@ pub fn resolve_swap_completion(sim: &mut Simulation<World>, req: u64) {
     let ctx = sim
         .state_mut()
         .swap_reqs
-        .remove(&req)
+        .remove(req)
         .expect("unknown swap request");
     match ctx {
         SwapReqCtx::GuestFault {

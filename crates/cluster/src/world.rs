@@ -474,17 +474,11 @@ pub struct World {
     /// Migrations (active and completed).
     pub migrations: Vec<MigrationExec>,
     /// Delivery-tag registry.
-    pub payloads: HashMap<u64, NetPayload>,
-    /// Next delivery tag.
-    pub next_tag: u64,
+    pub payloads: IdRegistry<NetPayload>,
     /// Chunk payload registry (referenced by `NetPayload::MigChunk`).
-    pub chunks: HashMap<u64, agile_migration::Chunk>,
-    /// Next chunk key.
-    pub next_chunk: u64,
+    pub chunks: IdRegistry<agile_migration::Chunk>,
     /// Outstanding swap I/Os.
-    pub swap_reqs: HashMap<u64, SwapReqCtx>,
-    /// Next swap request id.
-    pub next_req: u64,
+    pub swap_reqs: IdRegistry<SwapReqCtx>,
     /// In-flight op slab.
     pub ops: Vec<Option<OpExec>>,
     /// Free slots in the op slab.
@@ -531,13 +525,63 @@ pub struct World {
     pub fault_hist: Option<Box<agile_sim_core::FixedHistogram>>,
 }
 
+/// Values in flight under ids from one monotonic counter: each
+/// [`IdRegistry::insert`] takes the next id, so the id sequence depends
+/// only on allocation order.
+#[derive(Debug)]
+pub struct IdRegistry<T> {
+    next: u64,
+    map: HashMap<u64, T>,
+}
+
+impl<T> Default for IdRegistry<T> {
+    fn default() -> Self {
+        IdRegistry {
+            next: 0,
+            map: HashMap::new(),
+        }
+    }
+}
+
+impl<T> IdRegistry<T> {
+    /// Take the next id without registering a value (a request whose
+    /// completion nobody waits for).
+    pub fn next_id(&mut self) -> u64 {
+        let id = self.next;
+        self.next += 1;
+        id
+    }
+
+    /// Register `value` under the next id and return the id.
+    pub fn insert(&mut self, value: T) -> u64 {
+        let id = self.next_id();
+        self.map.insert(id, value);
+        id
+    }
+
+    /// Take back the value registered under `id`.
+    pub fn remove(&mut self, id: u64) -> Option<T> {
+        self.map.remove(&id)
+    }
+
+    /// Values currently registered.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when nothing is registered.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
 impl World {
     /// Create an empty world.
     pub fn new(cfg: ClusterConfig) -> Self {
         World {
             cfg,
             seeds: SeedSequence::new(cfg.seed),
-            net: Network::new(cfg.prop_delay),
+            net: Network::new(crate::config::PROP_DELAY),
             netdrv: crate::netdrv::NetDriver::default(),
             shard_id: 0,
             boundary: crate::shard::BoundaryState::default(),
@@ -545,12 +589,9 @@ impl World {
             vms: Vec::new(),
             vmd: VmdSubsystem::new(),
             migrations: Vec::new(),
-            payloads: HashMap::new(),
-            next_tag: 0,
-            chunks: HashMap::new(),
-            next_chunk: 0,
-            swap_reqs: HashMap::new(),
-            next_req: 0,
+            payloads: IdRegistry::default(),
+            chunks: IdRegistry::default(),
+            swap_reqs: IdRegistry::default(),
             ops: Vec::new(),
             free_ops: Vec::new(),
             next_op_gen: 0,
@@ -570,26 +611,7 @@ impl World {
 
     /// Allocate a delivery tag for a payload.
     pub fn tag(&mut self, payload: NetPayload) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        self.payloads.insert(t, payload);
-        t
-    }
-
-    /// Allocate a swap request id with its context.
-    pub fn swap_req(&mut self, ctx: SwapReqCtx) -> u64 {
-        let r = self.next_req;
-        self.next_req += 1;
-        self.swap_reqs.insert(r, ctx);
-        r
-    }
-
-    /// Register a chunk payload, returning its key.
-    pub fn stash_chunk(&mut self, chunk: agile_migration::Chunk) -> u64 {
-        let k = self.next_chunk;
-        self.next_chunk += 1;
-        self.chunks.insert(k, chunk);
-        k
+        self.payloads.insert(payload)
     }
 
     /// Allocate an op slab slot. The op's generation is overwritten with a

@@ -22,6 +22,10 @@ use crate::config::WssEstimatorKind;
 use crate::guest::{charge_evictions, EvictTarget};
 use crate::world::{World, WssExec};
 
+/// Simulated-PML log capacity in entries (real hardware: 512; the
+/// buffer overflows into a full PTE-bit scan at drain).
+pub const PML_LOG_CAP: usize = 512;
+
 /// Enable WSS tracking on a VM and start the sampling chain at `at`.
 /// The estimator comes from the world's [`crate::config::ClusterConfig`]
 /// (`wss_estimator`); `params` bounds the reservation either way.
@@ -43,19 +47,13 @@ pub fn enable_tracking(
         WssEstimatorKind::Pml => {
             let pml = PmlParams {
                 epoch: cfg.pml_epoch,
-                window: cfg.pml_window,
-                headroom_num: cfg.pml_headroom_num,
-                headroom_den: cfg.pml_headroom_den,
-                page_size: cfg.page_size,
-                min_bytes: params.min_bytes,
-                max_bytes: params.max_bytes,
                 ..PmlParams::defaults(cfg.page_size, params.min_bytes, params.max_bytes)
             };
             enable_tracking_with(
                 sim,
                 vm_idx,
                 Box::new(PmlEstimator::new(pml)),
-                Some(cfg.pml_log_cap as usize),
+                Some(PML_LOG_CAP),
                 at,
             )
         }

@@ -94,17 +94,6 @@ impl SsdSwap {
         self.counters.read_bytes += pages * self.page_size;
         done
     }
-
-    /// Write `pages` slot-consecutive pages as one streaming run.
-    pub fn write_run(&mut self, now: SimTime, pages: u64) -> SimTime {
-        let done = self
-            .dev
-            .borrow_mut()
-            .submit_run(now, IoKind::Write, pages, self.page_size);
-        self.counters.write_ops += pages;
-        self.counters.write_bytes += pages * self.page_size;
-        done
-    }
 }
 
 impl SwapBackend for SsdSwap {

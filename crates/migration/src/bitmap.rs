@@ -179,11 +179,6 @@ impl Bitmap {
         self.ones = 0;
     }
 
-    /// Raw backing words. Bits at positions `>= len()` are always zero.
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Build a bitmap marking every index where `a[i] != b[i]`, assembling
     /// 64 comparisons per output word — the pre-copy round planner's "which
     /// pages changed since I sent them" scan, kept free of per-bit index

@@ -28,6 +28,9 @@ use crate::bitmap::Bitmap;
 use crate::chunk::{Chunk, FullPage, SwappedMarker};
 use crate::metrics::{MigrationMetrics, Technique};
 
+/// CPU + device state bytes in the handoff message.
+const HANDOFF_BASE_BYTES: u64 = 512 * 1024;
+
 /// Configuration of a source migration session.
 #[derive(Clone, Copy, Debug)]
 pub struct SourceConfig {
@@ -41,8 +44,6 @@ pub struct SourceConfig {
     pub precopy_threshold_pages: u32,
     /// Pre-copy round cap (the dirty set may never converge).
     pub precopy_max_rounds: u32,
-    /// CPU + device state bytes in the handoff message.
-    pub handoff_base_bytes: u64,
     /// Guest page size (for wire-byte accounting).
     pub page_size: u64,
 }
@@ -55,7 +56,6 @@ impl SourceConfig {
             chunk_pages: 256,
             precopy_threshold_pages: 9_000,
             precopy_max_rounds: 30,
-            handoff_base_bytes: 512 * 1024,
             page_size: 4096,
         }
     }
@@ -271,7 +271,7 @@ impl SourceSession {
                 self.pass_set = Some(Bitmap::ones(self.n_pages));
                 self.metrics.push_set_pages = u64::from(self.n_pages);
                 self.phase = Phase::AwaitHandoff;
-                let wire = self.cfg.handoff_base_bytes + Bitmap::zeros(self.n_pages).wire_bytes();
+                let wire = HANDOFF_BASE_BYTES + Bitmap::zeros(self.n_pages).wire_bytes();
                 self.metrics.migration_bytes += wire;
                 self.metrics.record_phase(now, PhaseKind::AwaitHandoff, 0);
                 vec![
@@ -340,7 +340,7 @@ impl SourceSession {
                         };
                         // All dirty state sent; hand off CPU state.
                         self.phase = Phase::AwaitHandoff;
-                        let wire = self.cfg.handoff_base_bytes;
+                        let wire = HANDOFF_BASE_BYTES;
                         self.metrics.migration_bytes += wire;
                         self.metrics.record_phase(now, PhaseKind::AwaitHandoff, 0);
                         cmds.push(SourceCmd::SendHandoff { wire_bytes: wire });
@@ -567,7 +567,7 @@ impl SourceSession {
     fn suspend_and_handoff(&mut self, now: SimTime, mem: &VmMemory) -> Vec<SourceCmd> {
         self.metrics.suspended_at = Some(now);
         let dirty = self.dirty_bitmap(mem);
-        let wire = self.cfg.handoff_base_bytes + dirty.wire_bytes();
+        let wire = HANDOFF_BASE_BYTES + dirty.wire_bytes();
         self.metrics.migration_bytes += wire;
         self.metrics.push_set_pages = u64::from(dirty.count_ones());
         self.pass_set = Some(dirty);

@@ -52,17 +52,6 @@ impl BlockDeviceSpec {
         }
     }
 
-    /// A 7200 rpm hard disk: ~120 MB/s streaming, ~6 ms average positioning.
-    /// Used by the disk-backed VMD extension.
-    pub fn hdd_7200() -> Self {
-        BlockDeviceSpec {
-            read_bw: Bandwidth::mb_per_sec(120.0),
-            write_bw: Bandwidth::mb_per_sec(110.0),
-            read_overhead: SimDuration::from_millis(6),
-            write_overhead: SimDuration::from_millis(6),
-        }
-    }
-
     /// Service time for one operation, excluding queueing.
     pub fn service_time(&self, kind: IoKind, bytes: u64) -> SimDuration {
         match kind {
@@ -365,14 +354,5 @@ mod tests {
         );
         // Same bytes either way.
         assert_eq!(random.counters().read_bytes, seq.counters().read_bytes);
-    }
-
-    #[test]
-    fn hdd_much_slower_than_ssd_for_random_io() {
-        let mut ssd = BlockDevice::new(BlockDeviceSpec::sata_ssd());
-        let mut hdd = BlockDevice::new(BlockDeviceSpec::hdd_7200());
-        let s = ssd.submit(SimTime::ZERO, IoKind::Read, 4096);
-        let h = hdd.submit(SimTime::ZERO, IoKind::Read, 4096);
-        assert!(h.as_secs_f64() > 20.0 * s.as_secs_f64());
     }
 }

@@ -321,11 +321,6 @@ impl<W> Simulation<W> {
         self.insert(self.now + delay, Payload::Closure(Box::new(f)))
     }
 
-    /// Schedule an already-boxed event (avoids double boxing in helpers).
-    pub fn schedule_boxed(&mut self, at: SimTime, f: EventFn<W>) -> EventId {
-        self.insert(at, Payload::Closure(f))
-    }
-
     /// Schedule a plain-data [`FastEvent`] at absolute time `at` — no heap
     /// allocation on this path. Requires a handler installed via
     /// [`Simulation::set_fast_handler`] before the event fires.
@@ -445,11 +440,6 @@ impl<W> Simulation<W> {
                 }
             }
         }
-    }
-
-    /// Consume the simulation and return the final world state.
-    pub fn into_state(self) -> W {
-        self.state
     }
 }
 

@@ -361,20 +361,6 @@ impl Network {
         id
     }
 
-    /// Number of queued (not yet fully serialized) segments on a channel.
-    pub fn queued_segments(&self, ch: ChannelId) -> usize {
-        self.channels[ch.0].queue.len()
-    }
-
-    /// Bytes still queued for serialization on a channel.
-    pub fn queued_bytes(&self, ch: ChannelId) -> u64 {
-        self.channels[ch.0]
-            .queue
-            .iter()
-            .map(|s| s.remaining.ceil() as u64)
-            .sum()
-    }
-
     /// Total bytes delivered over a channel so far.
     pub fn delivered_bytes(&self, ch: ChannelId) -> u64 {
         self.channels[ch.0].delivered_bytes

@@ -25,7 +25,7 @@ impl Bandwidth {
 
     /// Construct from bytes per second.
     #[inline]
-    pub fn bytes_per_sec(b: f64) -> Self {
+    pub const fn bytes_per_sec(b: f64) -> Self {
         assert!(
             b.is_finite() && b >= 0.0,
             "bandwidth must be finite and non-negative"
@@ -43,14 +43,8 @@ impl Bandwidth {
     /// Construct from gigabits (10^9 bits) per second, the unit network
     /// links are quoted in. 1 Gbps = 125 MB/s.
     #[inline]
-    pub fn gbps(g: f64) -> Self {
+    pub const fn gbps(g: f64) -> Self {
         Bandwidth::bytes_per_sec(g * 1e9 / 8.0)
-    }
-
-    /// Construct from megabits per second.
-    #[inline]
-    pub fn mbps(m: f64) -> Self {
-        Bandwidth::bytes_per_sec(m * 1e6 / 8.0)
     }
 
     /// Raw bytes per second.

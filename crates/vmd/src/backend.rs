@@ -72,13 +72,6 @@ impl VmdSwapDevice {
         &self.client
     }
 
-    /// Free a slot (page discarded, e.g. the guest wrote it afresh).
-    pub fn free_slot(&mut self, slot: u32) {
-        self.client
-            .borrow_mut()
-            .free(&mut self.directory.borrow_mut(), self.ns, slot);
-    }
-
     /// Tear down the whole namespace (VM destroyed): drop buffered
     /// writebacks, cancel relocations, and free every placed slot on its
     /// servers. Returns the number of placements released. After this the

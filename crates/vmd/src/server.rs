@@ -27,7 +27,9 @@
 use std::collections::HashMap;
 
 use crate::proto::{ClientMsg, NamespaceId, ServerId, ServerMsg, VmdError};
-use crate::tier::{HeatPolicy, ResolvedTier, TierBacking, TierLedger, TierStackConfig};
+use crate::tier::{
+    HeatPolicy, ResolvedTier, TierBacking, TierLedger, TierStackConfig, PROMOTE_MIN_HEAT,
+};
 
 /// Outcome of handling one client message.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -232,12 +234,6 @@ impl VmdServer {
             && self.store.values().all(|m| !m.owner_freed || m.rc > 0)
     }
 
-    /// Pages currently carrying a fork reference count (shared gold-image
-    /// pages), across all tiers.
-    pub fn shared_pages(&self) -> u64 {
-        self.store.values().filter(|m| m.rc > 0).count() as u64
-    }
-
     /// Retained pages whose owner already freed them (held alive only by
     /// clone references).
     pub fn owner_freed_pages(&self) -> u64 {
@@ -323,7 +319,7 @@ impl VmdServer {
             return true;
         }
         let age = (self.access_clock as u32).wrapping_sub(meta.last);
-        self.heat.decayed(meta.heat, age) >= self.heat.promote_min_heat
+        self.heat.decayed(meta.heat, age) >= PROMOTE_MIN_HEAT
     }
 
     /// Apply one hit's heat update (no-op when the policy is disabled).

@@ -59,7 +59,7 @@ pub enum TierBacking {
     /// Raw server DRAM: nothing beyond the server's lookup delay.
     Dram,
     /// The host's shared SSD block device: accesses queue on the real
-    /// [`agile_memory::BlockDevice`], so contention and queueing delays
+    /// [`agile_sim_core::BlockDevice`], so contention and queueing delays
     /// emerge (the legacy disk tier).
     HostSsd,
     /// A fixed-function device — zswap codec, CXL far memory: every
@@ -156,62 +156,51 @@ impl TierSpec {
     }
 }
 
+/// Heat added by one hit.
+const HIT_WEIGHT: u16 = 16;
+
+/// EWMA decay shift applied per hit.
+const DECAY_SHIFT: u8 = 2;
+
+/// Minimum decayed heat before a hit page is promoted.
+pub(crate) const PROMOTE_MIN_HEAT: u16 = 24;
+
+/// Age (in server-wide accesses since last touch) that halves a page's
+/// effective heat when ranking victims.
+const HALF_LIFE_ACCESSES: u32 = 1024;
+
 /// Decayed per-page access-counter policy.
 ///
 /// Heat is a small EWMA updated on every read or overwrite hit:
-/// `heat ← heat − (heat >> decay_shift) + hit_weight`, and ranking reads
-/// apply an age decay of one halving per `half_life_accesses` server
+/// `heat ← heat − (heat >> DECAY_SHIFT) + HIT_WEIGHT`, and ranking reads
+/// apply an age decay of one halving per `HALF_LIFE_ACCESSES` server
 /// accesses since the page was last touched. With `enabled = false`
 /// (default) pages carry no heat and the server reproduces the legacy
 /// policy byte-for-byte: promote on any hit when the head tier has
 /// headroom, pick demotion victims in coldest-*namespace* order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct HeatPolicy {
     /// Heat-driven placement on. Off = legacy behavior.
     pub enabled: bool,
-    /// Heat added by one hit.
-    pub hit_weight: u16,
-    /// EWMA decay shift applied per hit.
-    pub decay_shift: u8,
-    /// Minimum decayed heat before a hit page is promoted.
-    pub promote_min_heat: u16,
-    /// Age (in server-wide accesses since last touch) that halves a
-    /// page's effective heat when ranking victims.
-    pub half_life_accesses: u32,
-}
-
-impl Default for HeatPolicy {
-    fn default() -> Self {
-        HeatPolicy {
-            enabled: false,
-            hit_weight: 16,
-            decay_shift: 2,
-            promote_min_heat: 24,
-            half_life_accesses: 1024,
-        }
-    }
 }
 
 impl HeatPolicy {
-    /// The heat-driven policy with default constants.
+    /// The heat-driven policy.
     pub fn heat_driven() -> Self {
-        HeatPolicy {
-            enabled: true,
-            ..HeatPolicy::default()
-        }
+        HeatPolicy { enabled: true }
     }
 
     /// One hit's EWMA update.
     #[inline]
     pub fn bump(&self, heat: u16) -> u16 {
-        heat.saturating_sub(heat >> self.decay_shift)
-            .saturating_add(self.hit_weight)
+        heat.saturating_sub(heat >> DECAY_SHIFT)
+            .saturating_add(HIT_WEIGHT)
     }
 
     /// Effective heat of a page last touched `age` server accesses ago.
     #[inline]
     pub fn decayed(&self, heat: u16, age: u32) -> u16 {
-        let halvings = (age / self.half_life_accesses.max(1)).min(15);
+        let halvings = (age / HALF_LIFE_ACCESSES).min(15);
         heat >> halvings
     }
 }
@@ -441,8 +430,8 @@ mod tests {
         heat = h.bump(heat);
         assert_eq!(heat, 16);
         heat = h.bump(heat);
-        assert_eq!(heat, 28); // 16 - 4 + 16: crosses promote_min_heat = 24
-        assert!(heat >= h.promote_min_heat);
+        assert_eq!(heat, 28); // 16 - 4 + 16: crosses PROMOTE_MIN_HEAT = 24
+        assert!(heat >= PROMOTE_MIN_HEAT);
         // Age decay halves per half-life.
         assert_eq!(h.decayed(28, 0), 28);
         assert_eq!(h.decayed(28, 1024), 14);

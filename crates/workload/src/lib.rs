@@ -29,7 +29,7 @@ pub mod zipfian;
 pub use dataset::Dataset;
 pub use dist::KeyDist;
 pub use driver::{Action, Binding, Knob, WorkloadDriver};
-pub use oltp::{OltpParams, SysbenchOltp};
+pub use oltp::SysbenchOltp;
 pub use ops::{OpSpec, TouchList, MAX_TOUCHES};
 pub use osbg::OsBackground;
 pub use signal::Signal;

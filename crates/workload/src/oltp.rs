@@ -32,40 +32,22 @@ enum Stmt {
     Commit,
 }
 
-/// Tunable constants of the Sysbench/MySQL model.
-#[derive(Clone, Copy, Debug)]
-pub struct OltpParams {
-    /// Guest CPU per SELECT statement.
-    pub cpu_select: SimDuration,
-    /// Guest CPU per UPDATE statement.
-    pub cpu_update: SimDuration,
-    /// Guest CPU for COMMIT (log serialization + fsync path).
-    pub cpu_commit: SimDuration,
-    /// Rows touched by a range select.
-    pub range_rows: u32,
-    /// Client threads (Sysbench `--num-threads`).
-    pub client_threads: u32,
-    /// Server worker threads processing statements concurrently.
-    pub server_concurrency: u32,
-}
-
-impl Default for OltpParams {
-    fn default() -> Self {
-        OltpParams {
-            cpu_select: SimDuration::from_micros(120),
-            cpu_update: SimDuration::from_micros(180),
-            cpu_commit: SimDuration::from_micros(700),
-            range_rows: 4,
-            client_threads: 8,
-            server_concurrency: 4,
-        }
-    }
-}
+/// Guest CPU per SELECT statement.
+const CPU_SELECT: SimDuration = SimDuration::from_micros(120);
+/// Guest CPU per UPDATE statement.
+const CPU_UPDATE: SimDuration = SimDuration::from_micros(180);
+/// Guest CPU for COMMIT (log serialization + fsync path).
+const CPU_COMMIT: SimDuration = SimDuration::from_micros(700);
+/// Rows touched by a range select.
+const RANGE_ROWS: u32 = 4;
+/// Client threads (Sysbench `--num-threads`).
+const CLIENT_THREADS: u32 = 8;
+/// Server worker threads processing statements concurrently.
+const SERVER_CONCURRENCY: u32 = 4;
 
 /// The fused Sysbench-client / MySQL-server workload model.
 #[derive(Clone, Debug)]
 pub struct SysbenchOltp {
-    params: OltpParams,
     rows: Dataset,
     index: PageRange,
     log: PageRange,
@@ -77,16 +59,9 @@ pub struct SysbenchOltp {
 impl SysbenchOltp {
     /// Build over `rows` (the InnoDB buffer pool region), `index` (hot
     /// B-tree upper levels), and `log` (redo log circular buffer).
-    pub fn new(
-        rows: Dataset,
-        index: PageRange,
-        log: PageRange,
-        dist: KeyDist,
-        params: OltpParams,
-    ) -> Self {
+    pub fn new(rows: Dataset, index: PageRange, log: PageRange, dist: KeyDist) -> Self {
         assert!(index.len >= 2 && log.len >= 1);
         SysbenchOltp {
-            params,
             rows,
             index,
             log,
@@ -94,11 +69,6 @@ impl SysbenchOltp {
             plan_pos: 0,
             log_head: 0,
         }
-    }
-
-    /// Model parameters.
-    pub fn params(&self) -> &OltpParams {
-        &self.params
     }
 
     /// Statements per transaction (10 + 4 + 2 + 1).
@@ -116,12 +86,12 @@ impl SysbenchOltp {
 
     /// Sysbench worker concurrency at the server.
     pub fn server_concurrency(&self) -> u32 {
-        self.params.server_concurrency
+        SERVER_CONCURRENCY
     }
 
     /// Closed-loop client threads.
     pub fn client_threads(&self) -> u32 {
-        self.params.client_threads
+        CLIENT_THREADS
     }
 
     /// B-tree descent: two pages from the hot index region.
@@ -145,20 +115,20 @@ impl SysbenchOltp {
                 let key = self.dist.sample(rng, n);
                 self.index_touches(key, &mut touches);
                 touches.push(self.rows.page_of(key), false);
-                (self.params.cpu_select, false, 256)
+                (CPU_SELECT, false, 256)
             }
             Stmt::RangeSelect(_) => {
                 let key = self.dist.sample(rng, n);
                 self.index_touches(key, &mut touches);
                 let first = self.rows.page_of(key);
                 let end = self.rows.region().end();
-                for i in 0..self.params.range_rows {
+                for i in 0..RANGE_ROWS {
                     let p = first + i;
                     if p < end {
                         touches.push(p, false);
                     }
                 }
-                (self.params.cpu_select, false, 1024)
+                (CPU_SELECT, false, 1024)
             }
             Stmt::Update(_) => {
                 let key = self.dist.sample(rng, n);
@@ -166,13 +136,13 @@ impl SysbenchOltp {
                 touches.push(self.rows.page_of(key), true);
                 // Redo log append.
                 touches.push(self.log.page(self.log_head), true);
-                (self.params.cpu_update, false, 64)
+                (CPU_UPDATE, false, 64)
             }
             Stmt::Commit => {
                 // Log flush: advance the circular log head.
                 touches.push(self.log.page(self.log_head), true);
                 self.log_head = (self.log_head + 1) % self.log.len;
-                (self.params.cpu_commit, true, 64)
+                (CPU_COMMIT, true, 64)
             }
         };
         (
@@ -205,13 +175,7 @@ mod tests {
             len: 32,
         };
         let rows = Dataset::filling(rows_region, 256, 4096);
-        SysbenchOltp::new(
-            rows,
-            index_region,
-            log_region,
-            KeyDist::UniformPrefix,
-            OltpParams::default(),
-        )
+        SysbenchOltp::new(rows, index_region, log_region, KeyDist::UniformPrefix)
     }
 
     #[test]

@@ -26,19 +26,21 @@ use crate::dataset::Dataset;
 use crate::dist::KeyDist;
 use crate::ops::{OpSpec, TouchList};
 
-/// Tunable constants of the YCSB/Redis model.
+/// Guest CPU per GET.
+const CPU_READ: SimDuration = SimDuration::from_micros(55);
+/// Guest CPU per SET.
+const CPU_UPDATE: SimDuration = SimDuration::from_micros(65);
+/// Request size on the wire.
+const REQUEST_BYTES: u64 = 64;
+/// GET response size on the wire (≈ the 1 KB YCSB record).
+const RESPONSE_BYTES: u64 = 1100;
+
+/// Tunable knobs of the YCSB/Redis model (per-request CPU and wire
+/// sizes are the constants above).
 #[derive(Clone, Copy, Debug)]
 pub struct YcsbParams {
-    /// Guest CPU per GET.
-    pub cpu_read: SimDuration,
-    /// Guest CPU per SET.
-    pub cpu_update: SimDuration,
     /// Fraction of operations that are reads (YCSB workload mix).
     pub read_ratio: f64,
-    /// Request size on the wire.
-    pub request_bytes: u64,
-    /// Response size on the wire (≈ the 1 KB YCSB record).
-    pub response_bytes: u64,
     /// Number of closed-loop client threads.
     pub client_threads: u32,
 }
@@ -46,11 +48,7 @@ pub struct YcsbParams {
 impl Default for YcsbParams {
     fn default() -> Self {
         YcsbParams {
-            cpu_read: SimDuration::from_micros(55),
-            cpu_update: SimDuration::from_micros(65),
             read_ratio: 1.0, // §V-A uses read-only querying
-            request_bytes: 64,
-            response_bytes: 1100,
             client_threads: 16,
         }
     }
@@ -160,14 +158,10 @@ impl YcsbRedis {
         }
         OpSpec {
             touches,
-            cpu: if is_read {
-                self.params.cpu_read
-            } else {
-                self.params.cpu_update
-            },
-            request_bytes: self.params.request_bytes,
+            cpu: if is_read { CPU_READ } else { CPU_UPDATE },
+            request_bytes: REQUEST_BYTES,
             response_bytes: if is_read {
-                self.params.response_bytes
+                RESPONSE_BYTES
             } else {
                 64 // SET acknowledgement
             },

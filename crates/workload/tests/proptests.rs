@@ -4,7 +4,7 @@
 
 use agile_sim_core::DetRng;
 use agile_vm::PageRange;
-use agile_workload::{Dataset, KeyDist, OltpParams, SysbenchOltp, YcsbParams, YcsbRedis, Zipfian};
+use agile_workload::{Dataset, KeyDist, SysbenchOltp, YcsbParams, YcsbRedis, Zipfian};
 
 /// Zipfian samples always land in range for arbitrary n and θ.
 #[test]
@@ -113,13 +113,7 @@ fn oltp_plan_structure() {
             len: 16,
         };
         let rows = Dataset::filling(rows_region, 256, 4096);
-        let mut m = SysbenchOltp::new(
-            rows,
-            index,
-            log,
-            KeyDist::UniformPrefix,
-            OltpParams::default(),
-        );
+        let mut m = SysbenchOltp::new(rows, index, log, KeyDist::UniformPrefix);
         let mut rng = DetRng::seed_from(seed);
         for _txn in 0..5 {
             let mut commits = 0;

@@ -19,7 +19,16 @@ enum Direction {
     Shrink,
 }
 
-/// Controller parameters (paper defaults in [`Default`]).
+/// Sampling interval while converging.
+pub const FAST_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// Sampling interval once stable.
+const SLOW_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
+/// Direction alternations required to declare stability.
+const STABLE_AFTER_FLIPS: u32 = 4;
+
+/// Controller parameters (the paper's values in [`ControllerParams::paper`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerParams {
     /// Shrink factor (< 1).
@@ -28,12 +37,6 @@ pub struct ControllerParams {
     pub beta: f64,
     /// Swap-rate threshold in KB/s.
     pub tau_kbps: f64,
-    /// Sampling interval while converging.
-    pub fast_interval: SimDuration,
-    /// Sampling interval once stable.
-    pub slow_interval: SimDuration,
-    /// Direction alternations required to declare stability.
-    pub stable_after_flips: u32,
     /// Floor for the reservation (a VM always needs some memory).
     pub min_bytes: u64,
     /// Ceiling for the reservation (the VM's memory size).
@@ -47,9 +50,6 @@ impl ControllerParams {
             alpha: 0.95,
             beta: 1.03,
             tau_kbps: 4.0,
-            fast_interval: SimDuration::from_secs(2),
-            slow_interval: SimDuration::from_secs(30),
-            stable_after_flips: 4,
             min_bytes,
             max_bytes,
         }
@@ -94,11 +94,6 @@ impl ReservationController {
         }
     }
 
-    /// Parameters in use.
-    pub fn params(&self) -> &ControllerParams {
-        &self.params
-    }
-
     /// Whether the controller has declared stability.
     pub fn is_stable(&self) -> bool {
         self.stable
@@ -140,7 +135,7 @@ impl ReservationController {
             }
         }
         self.last_direction = Some(dir);
-        if self.flips >= self.params.stable_after_flips {
+        if self.flips >= STABLE_AFTER_FLIPS {
             self.stable = true;
             self.ever_stable = true;
         }
@@ -162,9 +157,9 @@ impl ReservationController {
         Adjustment {
             new_reservation,
             next_sample_in: if slow_paced {
-                self.params.slow_interval
+                SLOW_INTERVAL
             } else {
-                self.params.fast_interval
+                FAST_INTERVAL
             },
             stable: self.stable,
         }

@@ -162,7 +162,7 @@ impl WssEstimator for SwapIoEstimator {
     }
 
     fn priming_interval(&self) -> SimDuration {
-        self.controller.params().fast_interval
+        crate::controller::FAST_INTERVAL
     }
 
     fn wss_estimate(&self) -> Option<u64> {
