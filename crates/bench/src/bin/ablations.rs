@@ -17,10 +17,22 @@
 use agile_bench::Args;
 use agile_cluster::build::{ClusterBuilder, SwapKind};
 use agile_cluster::scenario::wss::{self, WssScenarioConfig};
-use agile_cluster::{migrate, ClusterConfig};
+use agile_cluster::scenario::RedisLayout;
+use agile_cluster::{migrate, ClusterConfig, WorkloadKind, World};
 use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
+use agile_sim_core::{SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
+use agile_workload::YcsbParams;
+
+/// Step `sim` a simulated second at a time until migration `mig`
+/// finalizes (at most an hour of simulated time).
+fn run_to_finish(sim: &mut Simulation<World>, mig: usize) {
+    while !sim.state().migrations[mig].finished {
+        let next = sim.now() + SimDuration::from_secs(1);
+        sim.run_until(next);
+        assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
+    }
+}
 
 /// One pressured Agile migration with explicit knobs; returns
 /// (simulated seconds, bytes).
@@ -62,11 +74,7 @@ fn agile_once(chunk_pages: u32, n_servers: usize, scale: u64) -> (f64, u64) {
         },
         10 * GIB / scale,
     );
-    while !sim.state().migrations[mig].finished {
-        let next = sim.now() + SimDuration::from_secs(1);
-        sim.run_until(next);
-        assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
-    }
+    run_to_finish(&mut sim, mig);
     let m = sim.state().migrations[mig].src.metrics();
     (m.total_time().unwrap().as_secs_f64(), m.migration_bytes)
 }
@@ -115,7 +123,7 @@ fn main() {
         "threshold pages", "rounds", "time (s)", "MB moved"
     );
     for threshold in [64u32, 512, 4096] {
-        let (rounds, t, b) = precopy_with_threshold(threshold, scale);
+        let (rounds, t, b) = single_vm_precopy(threshold, scale);
         println!(
             "{threshold:>14} {rounds:>8} {t:>12.2} {:>12}",
             b / 1_000_000
@@ -150,8 +158,6 @@ fn main() {
 /// Busy post-copy sweep point with an explicit readahead setting; returns
 /// (guest ops completed during the 10 s pressure warm-up, migration secs).
 fn busy_postcopy_with_readahead(readahead: u32, scale: u64) -> (u64, f64) {
-    use agile_cluster::world::WorkloadKind;
-    use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
     let cfg = ClusterConfig {
         guest_readahead_pages: readahead,
         ..ClusterConfig::default()
@@ -174,21 +180,7 @@ fn busy_postcopy_with_readahead(readahead: u32, scale: u64) -> (u64, f64) {
         SwapKind::HostSsd,
     );
     let dataset_bytes = vm_mem - 500 * MIB / scale - 300 * MIB / scale;
-    let (ir, dr) = {
-        let world = b.world_mut();
-        let layout = world.vms[vm].vm.layout_mut();
-        (
-            layout.alloc_region("redis-index", ((dataset_bytes / 50) / page).max(4) as u32),
-            layout.alloc_region("redis-data", (dataset_bytes / page) as u32),
-        )
-    };
-    let dataset = Dataset::new(dr, dataset_bytes / 1024, 1024, page);
-    let model = YcsbRedis::new(
-        dataset,
-        ir,
-        KeyDist::UniformPrefix,
-        YcsbParams::update_heavy(),
-    );
+    let model = RedisLayout::alloc(&mut b, vm, dataset_bytes).ycsb(YcsbParams::update_heavy());
     b.attach_workload(vm, cli, WorkloadKind::Ycsb(model));
     b.preload_layout(vm);
     let mut sim = b.build();
@@ -202,11 +194,7 @@ fn busy_postcopy_with_readahead(readahead: u32, scale: u64) -> (u64, f64) {
         SourceConfig::new(Technique::PostCopy),
         vm_mem,
     );
-    while !sim.state().migrations[mig].finished {
-        let next = sim.now() + SimDuration::from_secs(1);
-        sim.run_until(next);
-        assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
-    }
+    run_to_finish(&mut sim, mig);
     let t = sim.state().migrations[mig]
         .src
         .metrics()
@@ -218,14 +206,7 @@ fn busy_postcopy_with_readahead(readahead: u32, scale: u64) -> (u64, f64) {
 
 /// Busy pre-copy with an explicit convergence threshold; returns
 /// (rounds, seconds, bytes).
-fn precopy_with_threshold(threshold: u32, scale: u64) -> (u32, f64, u64) {
-    let r = single_vm_precopy(threshold, scale);
-    (r.0, r.1, r.2)
-}
-
 fn single_vm_precopy(threshold: u32, scale: u64) -> (u32, f64, u64) {
-    use agile_cluster::world::WorkloadKind;
-    use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
     let cfg = ClusterConfig::default();
     let page = cfg.page_size;
     let mut b = ClusterBuilder::new(cfg);
@@ -245,21 +226,7 @@ fn single_vm_precopy(threshold: u32, scale: u64) -> (u32, f64, u64) {
         SwapKind::HostSsd,
     );
     let dataset_bytes = vm_mem / 2;
-    let (ir, dr) = {
-        let world = b.world_mut();
-        let layout = world.vms[vm].vm.layout_mut();
-        (
-            layout.alloc_region("redis-index", ((dataset_bytes / 50) / page).max(4) as u32),
-            layout.alloc_region("redis-data", (dataset_bytes / page) as u32),
-        )
-    };
-    let dataset = Dataset::new(dr, dataset_bytes / 1024, 1024, page);
-    let model = YcsbRedis::new(
-        dataset,
-        ir,
-        KeyDist::UniformPrefix,
-        YcsbParams::update_heavy(),
-    );
+    let model = RedisLayout::alloc(&mut b, vm, dataset_bytes).ycsb(YcsbParams::update_heavy());
     b.attach_workload(vm, cli, WorkloadKind::Ycsb(model));
     b.preload_layout(vm);
     let mut sim = b.build();
@@ -275,11 +242,7 @@ fn single_vm_precopy(threshold: u32, scale: u64) -> (u32, f64, u64) {
         },
         vm_mem,
     );
-    while !sim.state().migrations[mig].finished {
-        let next = sim.now() + SimDuration::from_secs(1);
-        sim.run_until(next);
-        assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
-    }
+    run_to_finish(&mut sim, mig);
     let m = sim.state().migrations[mig].src.metrics();
     (
         m.rounds,

@@ -117,5 +117,13 @@ fn main() {
     println!("wrote {}", path.display());
 
     assert!(p.deferrals > 0, "predictor never deferred a migration");
+    // An arm with no finished migration would read as a negative delta:
+    // its p99 is the `u64::MAX` sentinel (-1 as i64) and its bytes 0.
+    for (name, r) in [("naive", &naive), ("predicted", &predicted)] {
+        assert!(
+            r.migrations.iter().any(|m| m.finished) && r.downtime_p99_ns != u64::MAX,
+            "{name} arm finished no migration with a measured downtime"
+        );
+    }
     gate.enforce();
 }

@@ -19,7 +19,7 @@
 //! driver: [`run`] for a single config, [`run_replicated`] for several
 //! independent configs as shards of one parallel epoch harness.
 //!
-//! The testbed pieces they share live here, once each: `RedisLayout`,
+//! The testbed pieces they share live here, once each: [`RedisLayout`],
 //! `paper_source_config`, `start_fitted_migration` and the §V-A/§V-C
 //! `overcommitted_testbed` of `ycsb` and `sysbench`.
 
@@ -242,10 +242,10 @@ pub fn set_ycsb_active_bytes(sim: &mut Simulation<World>, vm_idx: usize, bytes: 
 pub(crate) const REDIS_INDEX: &str = "redis-index";
 
 /// The Redis memory layout every YCSB guest uses: a hash-table index
-/// ([`REDIS_INDEX`], ~2% of the dataset and at least 4 pages), then the
-/// values as 1 KiB records.
+/// (region `redis-index`, ~2% of the dataset and at least 4 pages), then
+/// the values as 1 KiB records (region `redis-data`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RedisLayout {
+pub struct RedisLayout {
     index: PageRange,
     data: PageRange,
     dataset_bytes: u64,
@@ -255,7 +255,7 @@ pub(crate) struct RedisLayout {
 impl RedisLayout {
     /// Carve the layout for a `dataset_bytes` dataset into `vm`'s guest
     /// memory.
-    pub(crate) fn alloc(b: &mut ClusterBuilder, vm: usize, dataset_bytes: u64) -> RedisLayout {
+    pub fn alloc(b: &mut ClusterBuilder, vm: usize, dataset_bytes: u64) -> RedisLayout {
         let page = b.world().cfg.page_size;
         let layout = b.world_mut().vms[vm].vm.layout_mut();
         let index = layout.alloc_region(REDIS_INDEX, ((dataset_bytes / 50) / page).max(4) as u32);
@@ -269,12 +269,12 @@ impl RedisLayout {
     }
 
     /// Bytes of the index region.
-    pub(crate) fn index_bytes(&self) -> u64 {
+    pub fn index_bytes(&self) -> u64 {
         self.index.len as u64 * self.page
     }
 
     /// A YCSB client model over this layout, with uniform-prefix keys.
-    pub(crate) fn ycsb(&self, params: YcsbParams) -> YcsbRedis {
+    pub fn ycsb(&self, params: YcsbParams) -> YcsbRedis {
         let dataset = Dataset::new(self.data, self.dataset_bytes / 1024, 1024, self.page);
         YcsbRedis::new(dataset, self.index, KeyDist::UniformPrefix, params)
     }

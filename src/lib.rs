@@ -23,10 +23,10 @@
 //! | [`vm`] (`agile-vm`) | VM lifecycle, vCPU processor sharing, guest layout |
 //! | [`workload`] (`agile-workload`) | YCSB/Redis and Sysbench/MySQL models, zipfian keys |
 //! | [`migration`] (`agile-migration`) | pre-copy, post-copy, and Agile state machines; metrics |
-//! | [`wss`] (`agile-wss`) | swap-rate sampling, α/β/τ reservation control, watermark trigger |
+//! | [`wss`] (`agile-wss`) | swap-rate sampling, α/β/τ reservation control, fewest-VMs watermark selection |
 //! | [`chaos`] (`agile-chaos`) | deterministic fault schedules: server crashes, NIC faults, connection drops |
 //! | [`trace`] (`agile-trace`) | simulated-time event tracing, typed metrics registry, phase timelines |
-//! | [`cluster`] (`agile-cluster`) | the executor wiring everything together + scenario library |
+//! | [`cluster`] (`agile-cluster`) | the executor wiring everything together, the watermark scheduler, scenario library |
 //!
 //! ## Quickstart
 //!
