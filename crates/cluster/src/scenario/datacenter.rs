@@ -3,16 +3,16 @@
 //!
 //! Each rack is a complete world — its own hosts, VMD intermediates,
 //! fluid network with a ToR uplink/downlink trunk, and scheduler. The
-//! racks advance in parallel through the conservative epoch harness
-//! ([`crate::shard::ShardedRun`]); every `report_interval` each rack
-//! pushes a [`BoundaryMsg::LoadReport`] across the shard boundary, and
-//! the [`DatacenterCoordinator`] answers with a cluster-wide
+//! racks are [`Scenario`]s advanced in parallel by the one conservative
+//! epoch driver ([`crate::shard::run`]); every 5 s each rack pushes a
+//! [`BoundaryMsg::LoadReport`] across the shard boundary, and the
+//! [`DatacenterCoordinator`] answers with a cluster-wide
 //! [`GlobalSignal::ClusterLoad`] one lookahead later.
 //!
 //! The load script mirrors the multihost scenario at rack granularity:
 //! VMs start packed on the first half of each rack's hosts with small
-//! reservations; at `ramp_start` every reservation jumps (with
-//! deterministic per-VM jitter) — *hot* racks (every `hot_every`-th)
+//! reservations; at `RAMP_START_SECS` every reservation jumps (with
+//! deterministic per-VM jitter) — *hot* racks (every other one)
 //! overflow their packed hosts' high watermarks and rebalance onto the
 //! empty hosts through VMD intermediates attached at the spine, so the
 //! migration swap traffic crosses the rack trunk; *cold* racks stay
@@ -22,8 +22,6 @@
 //! identical at any `workers` count and across runs with equal seeds);
 //! all wall-clock measurement lives in the separate [`WallStats`].
 
-use std::time::Instant;
-
 use agile_migration::{SourceConfig, Technique};
 use agile_sim_core::{Bandwidth, RackId, SeedSequence, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
@@ -31,9 +29,9 @@ use agile_workload::Signal;
 
 use crate::build::{ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
-use crate::scenario::set_reservation;
+use crate::scenario::{set_reservation, Scenario};
 use crate::sched::{self, ManagedHost, SchedConfig};
-use crate::shard::{BoundaryMsg, Coordinator, GlobalSignal, MergedMsg, ShardedRun};
+use crate::shard::{self, BoundaryMsg, Coordinator, GlobalSignal, MergedMsg};
 use crate::world::World;
 
 /// One datacenter run. Sizing is fixed per VM (64 MiB VMs; host memory
@@ -48,26 +46,9 @@ pub struct DatacenterConfig {
     pub hosts_per_rack: usize,
     /// VMs packed onto each of the first `hosts_per_rack / 2` hosts.
     pub vms_per_packed_host: usize,
-    /// Every `hot_every`-th rack ramps hot (overflows its watermarks).
-    pub hot_every: usize,
-    /// ToR trunk capacity, each direction, in Gbps.
-    pub uplink_gbps: f64,
     /// Worker threads for the epoch harness (wall-clock only — the
     /// result is byte-identical at any value).
     pub workers: usize,
-    /// Seconds between per-rack boundary load reports.
-    pub report_interval_secs: u64,
-    /// Epoch length / minimum cross-shard signal latency, seconds.
-    pub lookahead_secs: u64,
-    /// When every VM's reservation jumps, seconds.
-    pub ramp_start_secs: u64,
-    /// When every VM's working set contracts (reservations shrink below
-    /// residency, spilling pages through the VMD clients to the spine
-    /// intermediates — the page traffic that crosses the ToR trunk),
-    /// seconds.
-    pub spill_start_secs: u64,
-    /// Hard deadline for the run, seconds.
-    pub deadline_secs: u64,
     /// Master seed (each rack derives its own stream).
     pub seed: u64,
 }
@@ -80,14 +61,7 @@ impl DatacenterConfig {
             racks: 4,
             hosts_per_rack: 4,
             vms_per_packed_host: 4,
-            hot_every: 2,
-            uplink_gbps: 10.0,
             workers: 1,
-            report_interval_secs: 5,
-            lookahead_secs: 5,
-            ramp_start_secs: 12,
-            spill_start_secs: 42,
-            deadline_secs: 600,
             seed: 42,
         }
     }
@@ -108,7 +82,10 @@ impl DatacenterConfig {
 /// report.
 #[derive(Clone, Copy, Debug)]
 pub struct WallStats {
-    /// End-to-end wall time of the sharded run, seconds.
+    /// Wall time of the epoch loop alone ([`shard::RunStats::wall`]),
+    /// seconds: it starts once every rack is built and ends before the
+    /// racks' reports are assembled, so a caller that times all of
+    /// [`run`] gets the set-up and teardown as the difference.
     pub wall_secs: f64,
     /// Total busy time summed across every shard, seconds.
     pub busy_secs: f64,
@@ -175,15 +152,12 @@ impl Coordinator for DatacenterCoordinator {
             return Vec::new();
         }
         for m in msgs {
-            if let BoundaryMsg::LoadReport {
+            let BoundaryMsg::LoadReport {
                 rack,
                 aggregate,
                 hot_hosts,
-                ..
-            } = &m.msg
-            {
-                self.latest[*rack] = Some((*aggregate, *hot_hosts));
-            }
+            } = m.msg;
+            self.latest[rack] = Some((aggregate, hot_hosts));
         }
         let known: Vec<(u64, u32)> = self.latest.iter().flatten().copied().collect();
         if known.is_empty() {
@@ -207,14 +181,6 @@ impl Coordinator for DatacenterCoordinator {
     }
 }
 
-/// One built rack world plus what the driver needs to judge it.
-struct RackSetup {
-    sim: Simulation<World>,
-    managed: Vec<ManagedHost>,
-    rack_id: RackId,
-    hot: bool,
-}
-
 // Fixed per-VM sizing (see the type-level comment on the config). Host
 // memory is derived from the packed VM count so that a hot rack's packed
 // hosts land ~8% above their high watermark at any `vms_per_packed_host`:
@@ -231,9 +197,26 @@ const HOT_TARGET: u64 = 40 * MIB;
 const COLD_TARGET: u64 = 24 * MIB;
 const PRELOAD_PAGES: u32 = 2048; // 8 MiB — fills residency to the reservation
 /// Pages each VM evicts through its VMD client when the working set
-/// contracts at `spill_start` (512 KiB of page writes per VM crossing
+/// contracts at `SPILL_START_SECS` (512 KiB of page writes per VM crossing
 /// the ToR trunk toward the spine intermediates).
 const SPILL_PAGES: u32 = 128;
+/// Every `HOT_EVERY`-th rack ramps hot (overflows its watermarks).
+const HOT_EVERY: usize = 2;
+/// ToR trunk capacity, each direction, in Gbps.
+const UPLINK_GBPS: f64 = 10.0;
+/// Seconds between per-rack boundary load reports.
+const REPORT_INTERVAL_SECS: u64 = 5;
+/// Epoch length / minimum cross-shard signal latency, seconds.
+const LOOKAHEAD_SECS: u64 = 5;
+/// When every VM's reservation jumps, seconds.
+const RAMP_START_SECS: u64 = 12;
+/// When every VM's working set contracts (reservations shrink below
+/// residency, spilling pages through the VMD clients to the spine
+/// intermediates — the page traffic that crosses the ToR trunk),
+/// seconds.
+const SPILL_START_SECS: u64 = 42;
+/// Hard deadline for the run, seconds.
+const DEADLINE_SECS: u64 = 600;
 
 /// Recurring boundary load report; reschedules itself every `interval`.
 fn report_tick(sim: &mut Simulation<World>, interval: SimDuration, managed: Vec<ManagedHost>) {
@@ -248,7 +231,6 @@ fn report_tick(sim: &mut Simulation<World>, interval: SimDuration, managed: Vec<
             hot_hosts += 1;
         }
     }
-    let migrations = w.migrations.len() as u64;
     let now = sim.now();
     sim.state_mut().boundary.outbox.push((
         now,
@@ -256,18 +238,37 @@ fn report_tick(sim: &mut Simulation<World>, interval: SimDuration, managed: Vec<
             rack,
             aggregate,
             hot_hosts,
-            migrations,
         },
     ));
     sim.schedule_in(interval, move |sim| report_tick(sim, interval, managed));
 }
 
+/// One rack of a datacenter run: the shard [`run`] hands the driver.
+struct Rack<'a> {
+    cfg: &'a DatacenterConfig,
+    rack: usize,
+}
+
+/// One rack's report line and the figures the cluster line sums.
+struct RackOutcome {
+    line: String,
+    migrations: u64,
+    events: u64,
+    sim_secs: f64,
+    converged: bool,
+}
+
 /// Build one rack: working hosts behind a ToR trunk, two spine-attached
 /// VMD intermediates, packed VMs, scheduler, jittered reservation ramp.
-fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSetup {
+/// Returns the world, its managed hosts, its ToR and whether it runs hot.
+fn build_rack(
+    cfg: &DatacenterConfig,
+    rack: usize,
+) -> (Simulation<World>, (Vec<ManagedHost>, RackId, bool)) {
     assert!(cfg.hosts_per_rack >= 2, "need at least two hosts per rack");
     assert!(cfg.vms_per_packed_host >= 1);
-    let hot = rack.is_multiple_of(cfg.hot_every.max(1));
+    let hot = rack.is_multiple_of(HOT_EVERY);
+    let seq = SeedSequence::new(cfg.seed);
     let mut rng = seq.stream(&format!("dc.rack{rack}"));
 
     let cluster_cfg = ClusterConfig {
@@ -277,10 +278,7 @@ fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSe
     let page = cluster_cfg.page_size;
     let mut b = ClusterBuilder::new(cluster_cfg);
 
-    let tor = b.add_net_rack(
-        Bandwidth::gbps(cfg.uplink_gbps),
-        Bandwidth::gbps(cfg.uplink_gbps),
-    );
+    let tor = b.add_net_rack(Bandwidth::gbps(UPLINK_GBPS), Bandwidth::gbps(UPLINK_GBPS));
     let host_mem = HOST_OS + cfg.vms_per_packed_host as u64 * AVAIL_PER_PACKED_VM;
     let working: Vec<usize> = (0..cfg.hosts_per_rack)
         .map(|i| {
@@ -307,7 +305,7 @@ fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSe
     let base = if hot { HOT_TARGET } else { COLD_TARGET };
     let mut vms = Vec::new();
     let mut targets = Vec::new();
-    for (slot, &host) in working.iter().take(packed).enumerate() {
+    for &host in working.iter().take(packed) {
         for _ in 0..cfg.vms_per_packed_host {
             let vm = b.add_vm(
                 host,
@@ -327,7 +325,6 @@ fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSe
             let jitter = rng.index(5) as i64 - 2;
             targets.push((base as i64 + jitter * MIB as i64) as u64);
         }
-        let _ = slot;
     }
 
     let mut sim = b.build();
@@ -350,8 +347,8 @@ fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSe
     // pages per VM through the VMD client to the spine servers, the swap
     // stream that crosses the rack trunk.
     let spill_target = RESV_START - u64::from(SPILL_PAGES) * page;
-    let ramp_at = SimTime::from_secs(cfg.ramp_start_secs);
-    let spill_at = SimTime::from_secs(cfg.spill_start_secs);
+    let ramp_at = SimTime::from_secs(RAMP_START_SECS);
+    let spill_at = SimTime::from_secs(SPILL_START_SECS);
     let one_step = SimDuration::from_secs(1);
     let bindings: Vec<(usize, Signal)> = vms
         .iter()
@@ -380,28 +377,21 @@ fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSe
         },
     );
 
-    let tick = SimDuration::from_secs(cfg.report_interval_secs.max(1));
+    let tick = SimDuration::from_secs(REPORT_INTERVAL_SECS);
     let first = managed.clone();
     sim.schedule_at(SimTime::ZERO + tick, move |sim| {
         report_tick(sim, tick, first)
     });
 
-    RackSetup {
-        sim,
-        managed,
-        rack_id: tor,
-        hot,
-    }
+    (sim, (managed, tor, hot))
 }
 
 /// The per-rack convergence predicate (same shape as multihost):
-/// rebalanced and quiescent after the ramp, or out of time.
-fn rack_converged(
-    sim: &Simulation<World>,
-    managed: &[ManagedHost],
-    ramp_end: SimTime,
-    deadline: SimTime,
-) -> bool {
+/// rebalanced and quiescent after the script (both the growth ramp and
+/// the spill have fired), or out of time.
+fn rack_converged(sim: &Simulation<World>, managed: &[ManagedHost]) -> bool {
+    let ramp_end = SimTime::from_secs(RAMP_START_SECS.max(SPILL_START_SECS));
+    let deadline = SimTime::from_secs(DEADLINE_SECS);
     let w = sim.state();
     let s = w.sched.as_ref().expect("scheduler armed");
     let below = managed
@@ -412,94 +402,88 @@ fn rack_converged(
     (sim.now() > ramp_end && below && quiescent) || sim.now() >= deadline
 }
 
+impl Scenario for Rack<'_> {
+    type Meta = (Vec<ManagedHost>, RackId, bool);
+    type Result = RackOutcome;
+
+    fn setup(&self) -> (Simulation<World>, Self::Meta) {
+        build_rack(self.cfg, self.rack)
+    }
+
+    fn deadline(&self) -> SimTime {
+        SimTime::from_secs(DEADLINE_SECS)
+    }
+
+    fn done(sim: &Simulation<World>, (managed, _, _): &Self::Meta) -> bool {
+        rack_converged(sim, managed)
+    }
+
+    /// Write the rack's report line.
+    fn finish(&self, sim: Simulation<World>, (managed, rack_id, hot): Self::Meta) -> RackOutcome {
+        let w = sim.state();
+        let s = w.sched.as_ref().expect("scheduler armed");
+        let started = w.migrations.len() as u64;
+        let finished = w.migrations.iter().filter(|m| m.finished).count() as u64;
+        let max_vm = s.times_migrated.iter().copied().max().unwrap_or(0);
+        let final_hot = managed
+            .iter()
+            .filter(|mh| sched::host_aggregate(w, mh.host) > mh.trigger.high_bytes)
+            .count();
+        let converged =
+            rack_converged(&sim, &managed) && sim.now() < self.deadline() && final_hot == 0;
+        let line = format!(
+            "  rack={} hot={hot} migrations={started} finished={finished} \
+             max_vm_migrations={max_vm} final_hot_hosts={final_hot} \
+             trunk_up_bytes={} trunk_down_bytes={} signals={} events={} converged={converged}\n",
+            self.rack,
+            w.net.rack_up_bytes(rack_id),
+            w.net.rack_down_bytes(rack_id),
+            w.boundary.signals.len(),
+            sim.events_executed(),
+        );
+        RackOutcome {
+            line,
+            migrations: started,
+            events: sim.events_executed(),
+            sim_secs: sim.now().as_nanos() as f64 / 1e9,
+            converged,
+        }
+    }
+}
+
 /// Run one datacenter scenario.
 pub fn run(cfg: &DatacenterConfig) -> DatacenterResult {
     assert!(cfg.racks >= 1);
-    let seq = SeedSequence::new(cfg.seed);
-    let mut meta = Vec::with_capacity(cfg.racks);
-    let mut worlds = Vec::with_capacity(cfg.racks);
-    for rack in 0..cfg.racks {
-        let s = build_rack(cfg, rack, &seq);
-        meta.push((s.managed, s.rack_id, s.hot));
-        worlds.push(s.sim);
-    }
-    // The script is only over once both the growth ramp and the spill
-    // have fired.
-    let ramp_end = SimTime::from_secs(cfg.ramp_start_secs.max(cfg.spill_start_secs));
-    let deadline = SimTime::from_secs(cfg.deadline_secs);
-    let lookahead = SimDuration::from_secs(cfg.lookahead_secs.max(1));
-
-    let mut sharded = ShardedRun::new(worlds, lookahead);
+    let racks: Vec<Rack> = (0..cfg.racks).map(|rack| Rack { cfg, rack }).collect();
     let mut coord = DatacenterCoordinator::new(cfg.racks);
-    let t0 = Instant::now();
-    let stats = sharded.run(cfg.workers, deadline, &mut coord, |i, sim| {
-        rack_converged(sim, &meta[i].0, ramp_end, deadline)
-    });
-    let wall = t0.elapsed();
+    let lookahead = SimDuration::from_secs(LOOKAHEAD_SECS);
+    let (outcomes, stats) = shard::run(&racks, cfg.workers, lookahead, &mut coord);
 
-    let worlds = sharded.into_worlds();
     let hosts = cfg.racks * cfg.hosts_per_rack;
     let vms = cfg.racks * (cfg.hosts_per_rack / 2).max(1) * cfg.vms_per_packed_host;
-
-    let mut report = String::new();
+    let mut report = format!(
+        "# datacenter report\n\
+         seed={} racks={} hosts_per_rack={} vms_per_packed_host={} hot_every={HOT_EVERY} \
+         uplink_gbps={UPLINK_GBPS:?} lookahead_s={LOOKAHEAD_SECS} \
+         report_interval_s={REPORT_INTERVAL_SECS} deadline_s={DEADLINE_SECS}\nracks:\n",
+        cfg.seed, cfg.racks, cfg.hosts_per_rack, cfg.vms_per_packed_host,
+    );
     let mut migrations = 0u64;
     let mut events_executed = 0u64;
     let mut sim_secs = 0f64;
     let mut all_converged = true;
-    {
-        use std::fmt::Write;
-        let _ = writeln!(report, "# datacenter report");
-        let _ = writeln!(
-            report,
-            "seed={} racks={} hosts_per_rack={} vms_per_packed_host={} hot_every={} \
-             uplink_gbps={:?} lookahead_s={} report_interval_s={} deadline_s={}",
-            cfg.seed,
-            cfg.racks,
-            cfg.hosts_per_rack,
-            cfg.vms_per_packed_host,
-            cfg.hot_every,
-            cfg.uplink_gbps,
-            cfg.lookahead_secs,
-            cfg.report_interval_secs,
-            cfg.deadline_secs,
-        );
-        let _ = writeln!(report, "racks:");
-        for (i, sim) in worlds.iter().enumerate() {
-            let (managed, rack_id, hot) = &meta[i];
-            let w = sim.state();
-            let s = w.sched.as_ref().expect("scheduler armed");
-            let started = w.migrations.len() as u64;
-            let finished = w.migrations.iter().filter(|m| m.finished).count() as u64;
-            let max_vm = s.times_migrated.iter().copied().max().unwrap_or(0);
-            let final_hot = managed
-                .iter()
-                .filter(|mh| sched::host_aggregate(w, mh.host) > mh.trigger.high_bytes)
-                .count();
-            let converged = rack_converged(sim, managed, ramp_end, deadline)
-                && sim.now() < deadline
-                && final_hot == 0;
-            let _ = writeln!(
-                report,
-                "  rack={i} hot={hot} migrations={started} finished={finished} \
-                 max_vm_migrations={max_vm} final_hot_hosts={final_hot} \
-                 trunk_up_bytes={} trunk_down_bytes={} signals={} events={} converged={converged}",
-                w.net.rack_up_bytes(*rack_id),
-                w.net.rack_down_bytes(*rack_id),
-                w.boundary.signals.len(),
-                sim.events_executed(),
-            );
-            migrations += started;
-            events_executed += sim.events_executed();
-            sim_secs = sim_secs.max(sim.now().as_nanos() as f64 / 1e9);
-            all_converged &= converged;
-        }
-        let _ = writeln!(
-            report,
-            "cluster: hosts={hosts} vms={vms} migrations={migrations} epochs={} \
-             signals_sent={} events_executed={events_executed} converged={all_converged}",
-            stats.epochs, coord.signals_sent,
-        );
+    for o in &outcomes {
+        report.push_str(&o.line);
+        migrations += o.migrations;
+        events_executed += o.events;
+        sim_secs = sim_secs.max(o.sim_secs);
+        all_converged &= o.converged;
     }
+    report.push_str(&format!(
+        "cluster: hosts={hosts} vms={vms} migrations={migrations} epochs={} \
+         signals_sent={} events_executed={events_executed} converged={all_converged}\n",
+        stats.epochs, coord.signals_sent,
+    ));
 
     DatacenterResult {
         report,
@@ -512,7 +496,7 @@ pub fn run(cfg: &DatacenterConfig) -> DatacenterResult {
         events_executed,
         sim_secs,
         wall: WallStats {
-            wall_secs: wall.as_secs_f64(),
+            wall_secs: stats.wall.as_secs_f64(),
             busy_secs: stats.busy_total().as_secs_f64(),
             critical_path_secs: stats.critical_path.as_secs_f64(),
             available_parallelism: stats.available_parallelism(),
@@ -534,7 +518,7 @@ mod tests {
         let r = run(&cfg);
         assert!(r.converged, "report:\n{}", r.report);
         assert!(r.migrations > 0, "hot racks must rebalance");
-        // Cold racks (odd index with hot_every=2) must not migrate and
+        // Cold racks (odd index with HOT_EVERY = 2) must not migrate and
         // hot racks must; the report carries one line per rack.
         for (i, line) in r
             .report

@@ -45,23 +45,26 @@ use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::guest::{charge_evictions, EvictTarget};
 use crate::migrate;
-use crate::shard::{NullCoordinator, ShardedRun};
+use crate::shard::{self, NullCoordinator};
 use crate::world::{WorkloadKind, World};
 
 /// A scenario the generic driver can run: build a world, advance it in
-/// 5-second slices until [`Scenario::done`] holds at a slice boundary or
-/// the deadline is reached, then fold the final world into a result.
-pub trait Scenario {
+/// epochs until [`Scenario::done`] holds at an epoch barrier or the
+/// deadline is reached, then fold the final world into a result. The
+/// driver ([`crate::shard::run`]) builds, steps and finishes each world on
+/// one worker thread, so only the config (`Sync`) and the result (`Send`)
+/// cross threads.
+pub trait Scenario: Sync {
     /// What `setup` hands on to `done` and `finish`.
     type Meta;
     /// The deterministic outcome of one run.
-    type Result;
+    type Result: Send;
     /// Build and arm the world.
     fn setup(&self) -> (Simulation<World>, Self::Meta);
     /// The hard end of the run.
     fn deadline(&self) -> SimTime;
     /// Whether the run may stop before its deadline, evaluated at every
-    /// slice boundary.
+    /// epoch barrier.
     fn done(sim: &Simulation<World>, meta: &Self::Meta) -> bool;
     /// Disarm the controllers and assemble the result.
     fn finish(&self, sim: Simulation<World>, meta: Self::Meta) -> Self::Result;
@@ -69,8 +72,7 @@ pub trait Scenario {
 
 /// Run one scenario. This is the one-shard case of [`run_replicated`]:
 /// the epoch targets are the 5-second slice boundaries, no coordinator
-/// message is ever scheduled, the shard id stays 0, and no thread is
-/// spawned.
+/// message is ever scheduled, and the shard id stays 0.
 pub fn run<S: Scenario>(cfg: &S) -> S::Result {
     let mut results = run_replicated(std::slice::from_ref(cfg), 1);
     results.pop().expect("one shard, one result")
@@ -80,24 +82,13 @@ pub fn run<S: Scenario>(cfg: &S) -> S::Result {
 /// harness (lookahead = the 5-second slice). Every result is
 /// byte-identical to [`run`] of its config at any `workers` count.
 pub fn run_replicated<S: Scenario>(cfgs: &[S], workers: usize) -> Vec<S::Result> {
-    assert!(!cfgs.is_empty());
-    let deadline = cfgs[0].deadline();
-    assert!(
-        cfgs.iter().all(|c| c.deadline() == deadline),
-        "replicated runs share one deadline (epoch targets must coincide)"
-    );
-    let (worlds, metas): (Vec<_>, Vec<_>) = cfgs.iter().map(S::setup).unzip();
-    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
-    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
-        S::done(sim, &metas[i])
-    });
-    sharded
-        .into_worlds()
-        .into_iter()
-        .zip(cfgs)
-        .zip(metas)
-        .map(|((sim, cfg), meta)| cfg.finish(sim, meta))
-        .collect()
+    shard::run(
+        cfgs,
+        workers,
+        SimDuration::from_secs(5),
+        &mut NullCoordinator,
+    )
+    .0
 }
 
 /// Schedule piecewise-constant [`Signal`]s as discrete DES events.

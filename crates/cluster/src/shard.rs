@@ -20,20 +20,33 @@
 //! cross-shard latency: the classic conservative-PDES contract
 //! (null-message-free because barriers are global).
 //!
+//! # Thread ownership
+//!
+//! `Simulation<World>` is `!Send` (worlds hold `Rc` handles and boxed
+//! event closures), and no world ever crosses a thread: [`run`] gives
+//! each scoped worker thread one contiguous chunk of [`Scenario`]
+//! configs, and that worker builds, steps and finishes its own shards.
+//! Only plain data crosses threads — the configs (`Scenario: Sync`),
+//! barrier commands, drained outboxes and the results
+//! (`Scenario::Result: Send`) — so the compiler checks the invariant.
+//! A one-worker run still spawns one worker thread; the calling thread
+//! only merges and calls the coordinator.
+//!
 //! # Determinism at any worker count
 //!
 //! The `workers` knob maps shards onto OS threads and nothing else.
 //! Logical shards are fixed by construction (one world per rack),
-//! barriers are global, outboxes are drained in shard order, and the
+//! barriers are global, outboxes are merged in shard order, and the
 //! merge sort key is independent of thread scheduling — so a run with 1
 //! worker and a run with 16 produce byte-identical worlds, traces, and
 //! reports. The equivalence tests pin this at 1, 2, and 4 workers.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use agile_sim_core::{SimDuration, SimTime, Simulation};
+use agile_sim_core::{SimDuration, SimTime};
 
-use crate::world::World;
+use crate::scenario::Scenario;
 
 /// A message crossing the shard boundary, drained at the next barrier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,13 +59,6 @@ pub enum BoundaryMsg {
         aggregate: u64,
         /// Managed hosts currently above their high watermark.
         hot_hosts: u32,
-        /// Migrations started on this rack so far.
-        migrations: u64,
-    },
-    /// The rack's scheduler has nothing queued or in flight.
-    Quiesced {
-        /// Reporting rack.
-        rack: usize,
     },
 }
 
@@ -111,23 +117,6 @@ impl Coordinator for NullCoordinator {
     }
 }
 
-/// A shard: one complete, closed world, movable to a worker thread.
-///
-/// `Simulation<World>` is `!Send` because the world holds `Rc` handles
-/// (the VMD directory and clients) and boxed event closures. Every one of
-/// those references stays inside the world it was built into: the builder
-/// wires each world's `Rc` graph independently and nothing ever hands an
-/// `Rc` (or a closure capturing one) across worlds — cross-shard traffic
-/// is the plain-data [`BoundaryMsg`]/[`GlobalSignal`] values only.
-pub struct ShardCell(pub Simulation<World>);
-
-// SAFETY: each cell's interior `Rc` graph is closed (see the type-level
-// comment), and the harness hands each cell to at most one worker thread
-// per epoch via disjoint `chunks_mut` borrows under `std::thread::scope`,
-// so no two threads ever observe the same world concurrently — which is
-// exactly the exclusive-access guarantee moving a `Send` value encodes.
-unsafe impl Send for ShardCell {}
-
 /// Wall-clock accounting for one sharded run. Measurement only — never
 /// part of any deterministic output.
 #[derive(Clone, Debug)]
@@ -139,6 +128,10 @@ pub struct RunStats {
     /// Sum over epochs of the slowest shard's time — the floor a
     /// perfectly parallel executor cannot beat.
     pub critical_path: Duration,
+    /// Wall time of the epoch loop, from the moment every shard is built
+    /// until the last barrier's signals are sent; excludes `setup` and
+    /// `finish`.
+    pub wall: Duration,
 }
 
 impl RunStats {
@@ -160,157 +153,176 @@ impl RunStats {
     }
 }
 
-/// A set of shards advancing in lockstep epochs.
-pub struct ShardedRun {
-    cells: Vec<ShardCell>,
-    lookahead: SimDuration,
+/// What the calling thread sends a worker at each barrier.
+struct Barrier {
+    /// The previous merge's signals for this worker's shards, as
+    /// `(global shard, signal)`, delivered at `deliver_at`.
+    signals: Vec<(usize, GlobalSignal)>,
+    deliver_at: SimTime,
+    /// The next epoch end; `None` after the last barrier.
+    target: Option<SimTime>,
 }
 
-impl ShardedRun {
-    /// Wrap `worlds` as shards 0..n. `lookahead` is the epoch length and
-    /// the minimum cross-shard signal latency; it must not exceed the
-    /// real coupling latency the scenario's boundary traffic assumes.
-    pub fn new(worlds: Vec<Simulation<World>>, lookahead: SimDuration) -> Self {
-        let cells = worlds
-            .into_iter()
+/// A worker's reply: per shard, in shard order, the drained outbox, the
+/// epoch's busy time and whether the shard is still active.
+type Reply = Vec<(Vec<(SimTime, BoundaryMsg)>, Duration, bool)>;
+
+/// Run `cfgs` as shards 0..n in lockstep epochs of `lookahead`, until
+/// every shard's [`Scenario::done`] holds at a barrier or the shared
+/// deadline is reached. A shard whose predicate fires is frozen — it
+/// stops advancing while the rest finish. `lookahead` is the epoch length
+/// and the minimum cross-shard signal latency; `workers` is purely a
+/// wall-clock knob (see the module docs). Returns the results in shard
+/// order.
+pub fn run<S: Scenario>(
+    cfgs: &[S],
+    workers: usize,
+    lookahead: SimDuration,
+    coordinator: &mut dyn Coordinator,
+) -> (Vec<S::Result>, RunStats) {
+    assert!(!cfgs.is_empty());
+    let deadline = cfgs[0].deadline();
+    assert!(
+        cfgs.iter().all(|c| c.deadline() == deadline),
+        "sharded runs share one deadline (epoch targets must coincide)"
+    );
+    let n = cfgs.len();
+    let chunk = n.div_ceil(workers.clamp(1, n));
+    let mut stats = RunStats {
+        epochs: 0,
+        shard_busy: vec![Duration::ZERO; n],
+        critical_path: Duration::ZERO,
+        wall: Duration::ZERO,
+    };
+    let results = std::thread::scope(|s| {
+        let threads: Vec<_> = cfgs
+            .chunks(chunk)
             .enumerate()
-            .map(|(i, mut sim)| {
-                sim.state_mut().shard_id = i;
-                ShardCell(sim)
+            .map(|(k, cc)| {
+                let (cmd_tx, cmd_rx) = channel();
+                let (reply_tx, reply_rx) = channel();
+                let h = s.spawn(move || shard_worker(cc, k * chunk, cmd_rx, reply_tx));
+                (cmd_tx, reply_rx, h)
             })
             .collect();
-        ShardedRun { cells, lookahead }
-    }
+        let recv = |rx: &Receiver<Reply>| rx.recv().expect("shard worker panicked");
+        // Each worker replies once its shards are built.
+        for (_, rx, _) in &threads {
+            recv(rx);
+        }
+        let t0 = Instant::now();
 
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when the run holds no shards.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Direct access to one shard's simulation (setup, inspection).
-    pub fn shard(&mut self, i: usize) -> &mut Simulation<World> {
-        &mut self.cells[i].0
-    }
-
-    /// Run epochs until every shard's `done` predicate holds at a barrier
-    /// or the deadline is reached. A shard whose predicate fires is
-    /// frozen — it stops advancing while the rest finish. `workers` is
-    /// purely a wall-clock knob; see the module docs.
-    pub fn run(
-        &mut self,
-        workers: usize,
-        deadline: SimTime,
-        coordinator: &mut dyn Coordinator,
-        mut done: impl FnMut(usize, &mut Simulation<World>) -> bool,
-    ) -> RunStats {
-        let n = self.cells.len();
-        let mut active = vec![true; n];
-        let mut stats = RunStats {
-            epochs: 0,
-            shard_busy: vec![Duration::ZERO; n],
-            critical_path: Duration::ZERO,
-        };
+        let mut signals: Vec<Vec<(usize, GlobalSignal)>> = vec![Vec::new(); threads.len()];
+        let mut deliver_at = SimTime::ZERO;
         let mut seq = 0u64;
         let mut epoch_start = SimTime::ZERO;
-        while active.iter().any(|&a| a) {
-            let target = (epoch_start + self.lookahead).min(deadline);
-            let epoch_times = advance(&mut self.cells, &active, workers, target);
-            stats.epochs += 1;
-            let mut slowest = Duration::ZERO;
-            for (busy, t) in stats.shard_busy.iter_mut().zip(&epoch_times) {
-                *busy += *t;
-                slowest = slowest.max(*t);
+        loop {
+            let target = (epoch_start + lookahead).min(deadline);
+            for ((tx, _, _), sigs) in threads.iter().zip(&mut signals) {
+                let signals = std::mem::take(sigs);
+                let _ = tx.send(Barrier {
+                    signals,
+                    deliver_at,
+                    target: Some(target),
+                });
             }
-            stats.critical_path += slowest;
-
-            // Deterministic merge: drain outboxes in shard order, stamp
+            // Deterministic merge: collect outboxes in shard order, stamp
             // sequence numbers, sort by (send time, shard, seq). Nothing
             // here depends on worker count or thread interleaving.
             let mut merged: Vec<MergedMsg> = Vec::new();
-            for (i, cell) in self.cells.iter_mut().enumerate() {
-                for (time, msg) in cell.0.state_mut().boundary.outbox.drain(..) {
+            let mut slowest = Duration::ZERO;
+            let mut active = false;
+            let replies = threads.iter().flat_map(|(_, rx, _)| recv(rx));
+            for (shard, (outbox, busy, still)) in replies.enumerate() {
+                stats.shard_busy[shard] += busy;
+                slowest = slowest.max(busy);
+                active |= still;
+                for (time, msg) in outbox {
                     merged.push(MergedMsg {
                         time,
-                        shard: i,
+                        shard,
                         seq,
                         msg,
                     });
                     seq += 1;
                 }
             }
+            stats.epochs += 1;
+            stats.critical_path += slowest;
             merged.sort_by_key(|m| (m.time, m.shard, m.seq));
-            let deliver_at = target + self.lookahead;
+            deliver_at = target + lookahead;
             for (shard, sig) in coordinator.merge(target, &merged) {
-                self.cells[shard].0.schedule_at(deliver_at, move |sim| {
-                    let now = sim.now();
-                    sim.state_mut().boundary.signals.push((now, sig));
-                });
+                signals[shard / chunk].push((shard, sig));
             }
-
-            for (i, cell) in self.cells.iter_mut().enumerate() {
-                if active[i] && done(i, &mut cell.0) {
-                    active[i] = false;
-                }
-            }
-            if target >= deadline {
+            if !active || target >= deadline {
                 break;
             }
             epoch_start = target;
         }
-        stats
-    }
-
-    /// Unwrap the shards back into plain simulations, in shard order.
-    pub fn into_worlds(self) -> Vec<Simulation<World>> {
-        self.cells.into_iter().map(|c| c.0).collect()
-    }
-}
-
-/// Advance every active cell to `target`, distributing cells over at most
-/// `workers` OS threads. Returns each shard's wall time for this epoch.
-fn advance(
-    cells: &mut [ShardCell],
-    active: &[bool],
-    workers: usize,
-    target: SimTime,
-) -> Vec<Duration> {
-    let n = cells.len();
-    let workers = workers.clamp(1, n.max(1));
-    let mut times = vec![Duration::ZERO; n];
-    if workers <= 1 {
-        for ((cell, &a), t) in cells.iter_mut().zip(active).zip(times.iter_mut()) {
-            if a {
-                let t0 = Instant::now();
-                cell.0.run_until(target);
-                *t = t0.elapsed();
-            }
-        }
-        return times;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        for ((cc, ac), tc) in cells
-            .chunks_mut(chunk)
-            .zip(active.chunks(chunk))
-            .zip(times.chunks_mut(chunk))
-        {
-            s.spawn(move || {
-                for ((cell, &a), t) in cc.iter_mut().zip(ac).zip(tc.iter_mut()) {
-                    if a {
-                        let t0 = Instant::now();
-                        cell.0.run_until(target);
-                        *t = t0.elapsed();
-                    }
-                }
+        for ((tx, _, _), signals) in threads.iter().zip(signals) {
+            let _ = tx.send(Barrier {
+                signals,
+                deliver_at,
+                target: None,
             });
         }
+        stats.wall = t0.elapsed();
+        threads
+            .into_iter()
+            .flat_map(|(_, _, h)| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    times
+    (results, stats)
+}
+
+/// One worker thread: build the shards `first..first + cfgs.len()`,
+/// follow the barrier commands, then finish them in shard order.
+fn shard_worker<S: Scenario>(
+    cfgs: &[S],
+    first: usize,
+    commands: Receiver<Barrier>,
+    replies: Sender<Reply>,
+) -> Vec<S::Result> {
+    let mut shards: Vec<_> = cfgs
+        .iter()
+        .zip(first..)
+        .map(|(cfg, i)| {
+            let (mut sim, meta) = cfg.setup();
+            sim.state_mut().shard_id = i;
+            (sim, meta, true)
+        })
+        .collect();
+    let _ = replies.send(Vec::new());
+    for cmd in commands {
+        for (shard, sig) in cmd.signals {
+            shards[shard - first]
+                .0
+                .schedule_at(cmd.deliver_at, move |sim| {
+                    let now = sim.now();
+                    sim.state_mut().boundary.signals.push((now, sig));
+                });
+        }
+        let Some(target) = cmd.target else { break };
+        let reply = shards
+            .iter_mut()
+            .map(|(sim, meta, active)| {
+                let mut busy = Duration::ZERO;
+                if *active {
+                    let t0 = Instant::now();
+                    sim.run_until(target);
+                    busy = t0.elapsed();
+                    *active = !S::done(sim, meta);
+                }
+                let outbox = std::mem::take(&mut sim.state_mut().boundary.outbox);
+                (outbox, busy, *active)
+            })
+            .collect();
+        let _ = replies.send(reply);
+    }
+    cfgs.iter()
+        .zip(shards)
+        .map(|(cfg, (sim, meta, _))| cfg.finish(sim, meta))
+        .collect()
 }
 
 #[cfg(test)]
@@ -318,7 +330,59 @@ mod tests {
     use super::*;
     use crate::build::ClusterBuilder;
     use crate::config::ClusterConfig;
-    use agile_sim_core::GIB;
+    use crate::world::World;
+    use agile_sim_core::{Simulation, GIB};
+
+    /// A test shard: `build` makes and arms the world, which is done from
+    /// `done_at` on.
+    struct Shard {
+        build: fn() -> Simulation<World>,
+        done_at: SimTime,
+        deadline: SimTime,
+    }
+
+    /// What a test reads back from a finished shard.
+    #[derive(Debug)]
+    struct Seen {
+        now: SimTime,
+        events: u64,
+        signals: Vec<(SimTime, GlobalSignal)>,
+        polls: u64,
+        armed: bool,
+    }
+
+    impl Scenario for Shard {
+        type Meta = SimTime;
+        type Result = Seen;
+        fn setup(&self) -> (Simulation<World>, SimTime) {
+            ((self.build)(), self.done_at)
+        }
+        fn deadline(&self) -> SimTime {
+            self.deadline
+        }
+        fn done(sim: &Simulation<World>, done_at: &SimTime) -> bool {
+            sim.now() >= *done_at
+        }
+        fn finish(&self, sim: Simulation<World>, _: SimTime) -> Seen {
+            let w = sim.state();
+            Seen {
+                now: sim.now(),
+                events: sim.events_executed(),
+                signals: w.boundary.signals.clone(),
+                polls: w.netdrv.polls,
+                armed: w.netdrv.armed.is_some(),
+            }
+        }
+    }
+
+    /// A shard that runs `build`'s world to `deadline`.
+    fn to_deadline(build: fn() -> Simulation<World>, deadline: SimTime) -> Shard {
+        Shard {
+            build,
+            done_at: deadline,
+            deadline,
+        }
+    }
 
     fn empty_world(seed: u64) -> Simulation<World> {
         let b = ClusterBuilder::new(ClusterConfig {
@@ -326,6 +390,18 @@ mod tests {
             ..ClusterConfig::default()
         });
         b.build()
+    }
+
+    fn report(sim: &mut Simulation<World>, rack: usize) {
+        let now = sim.now();
+        sim.state_mut().boundary.outbox.push((
+            now,
+            BoundaryMsg::LoadReport {
+                rack,
+                aggregate: 0,
+                hot_hosts: 0,
+            },
+        ));
     }
 
     #[test]
@@ -340,36 +416,35 @@ mod tests {
                 Vec::new()
             }
         }
-        let mut run = ShardedRun::new(
-            vec![empty_world(1), empty_world(2)],
-            SimDuration::from_secs(1),
-        );
         // Shard 1 emits earlier in simulated time than shard 0; shard 0
         // emits twice at the same instant (seq breaks the tie in emission
         // order).
-        run.shard(0).schedule_at(SimTime::from_millis(500), |sim| {
-            let now = sim.now();
-            let out = &mut sim.state_mut().boundary.outbox;
-            out.push((now, BoundaryMsg::Quiesced { rack: 10 }));
-            out.push((now, BoundaryMsg::Quiesced { rack: 11 }));
-        });
-        run.shard(1).schedule_at(SimTime::from_millis(100), |sim| {
-            let now = sim.now();
-            sim.state_mut()
-                .boundary
-                .outbox
-                .push((now, BoundaryMsg::Quiesced { rack: 20 }));
-        });
+        let shard0 = || {
+            let mut sim = empty_world(1);
+            sim.schedule_at(SimTime::from_millis(500), |sim| {
+                report(sim, 10);
+                report(sim, 11);
+            });
+            sim
+        };
+        let shard1 = || {
+            let mut sim = empty_world(2);
+            sim.schedule_at(SimTime::from_millis(100), |sim| report(sim, 20));
+            sim
+        };
+        let end = SimTime::from_secs(1);
         let mut cap = Capture(Vec::new());
-        run.run(2, SimTime::from_secs(1), &mut cap, |_, sim| {
-            sim.now() >= SimTime::from_secs(1)
-        });
+        run(
+            &[to_deadline(shard0, end), to_deadline(shard1, end)],
+            2,
+            SimDuration::from_secs(1),
+            &mut cap,
+        );
         let racks: Vec<usize> = cap
             .0
             .iter()
             .map(|(_, _, m)| match m {
-                BoundaryMsg::Quiesced { rack } => *rack,
-                _ => unreachable!(),
+                BoundaryMsg::LoadReport { rack, .. } => *rack,
             })
             .collect();
         assert_eq!(racks, vec![20, 10, 11]);
@@ -394,19 +469,18 @@ mod tests {
                     .collect()
             }
         }
-        let mut run = ShardedRun::new(vec![empty_world(3)], SimDuration::from_secs(1));
-        run.shard(0).schedule_at(SimTime::from_millis(250), |sim| {
-            let now = sim.now();
-            sim.state_mut()
-                .boundary
-                .outbox
-                .push((now, BoundaryMsg::Quiesced { rack: 0 }));
-        });
-        run.run(1, SimTime::from_secs(3), &mut Echo, |_, sim| {
-            sim.now() >= SimTime::from_secs(3)
-        });
-        let worlds = run.into_worlds();
-        let signals = &worlds[0].state().boundary.signals;
+        let shard = || {
+            let mut sim = empty_world(3);
+            sim.schedule_at(SimTime::from_millis(250), |sim| report(sim, 0));
+            sim
+        };
+        let (seen, _) = run(
+            &[to_deadline(shard, SimTime::from_secs(3))],
+            1,
+            SimDuration::from_secs(1),
+            &mut Echo,
+        );
+        let signals = &seen[0].signals;
         assert_eq!(signals.len(), 1);
         // Barrier at t=1s, delivery one lookahead later.
         assert_eq!(signals[0].0, SimTime::from_secs(2));
@@ -416,64 +490,90 @@ mod tests {
     fn idle_shard_schedules_zero_net_polls() {
         // A shard with hosts but no traffic must never arm a poll event;
         // a busy neighbor polling its own network must not change that.
+        use crate::scenario::RedisLayout;
         use agile_sim_core::MIB;
         use agile_vm::VmConfig;
-        use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+        use agile_workload::YcsbParams;
 
-        let mut busy_b = ClusterBuilder::new(ClusterConfig {
-            seed: 7,
-            ..ClusterConfig::default()
-        });
-        let page = busy_b.world().cfg.page_size;
-        let host = busy_b.add_host("work", GIB, 32 * MIB, true);
-        let client_host = busy_b.add_host("client", GIB, 32 * MIB, false);
-        let vm = busy_b.add_vm(
-            host,
-            VmConfig {
-                mem_bytes: 256 * MIB,
-                page_size: page,
-                vcpus: 1,
-                reservation_bytes: 256 * MIB,
-                guest_os_bytes: 16 * MIB,
-            },
-            crate::build::SwapKind::HostSsd,
-        );
-        let (index_region, data_region) = {
-            let layout = busy_b.world_mut().vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", 64);
-            let dat = layout.alloc_region("redis-data", 4096);
-            (idx, dat)
+        let busy = || {
+            let mut b = ClusterBuilder::new(ClusterConfig {
+                seed: 7,
+                ..ClusterConfig::default()
+            });
+            let page = b.world().cfg.page_size;
+            let host = b.add_host("work", GIB, 32 * MIB, true);
+            let client_host = b.add_host("client", GIB, 32 * MIB, false);
+            let vm = b.add_vm(
+                host,
+                VmConfig {
+                    mem_bytes: 256 * MIB,
+                    page_size: page,
+                    vcpus: 1,
+                    reservation_bytes: 256 * MIB,
+                    guest_os_bytes: 16 * MIB,
+                },
+                crate::build::SwapKind::HostSsd,
+            );
+            let model = RedisLayout::alloc(&mut b, vm, 8 * MIB).ycsb(YcsbParams::update_heavy());
+            b.attach_workload(vm, client_host, crate::world::WorkloadKind::Ycsb(model));
+            b.preload_layout(vm);
+            let mut sim = b.build();
+            crate::build::start_all_workloads(&mut sim, SimTime::from_millis(10));
+            sim
         };
-        let dataset = Dataset::new(data_region, 8192, 1024, page);
-        let model = YcsbRedis::new(
-            dataset,
-            index_region,
-            KeyDist::UniformPrefix,
-            YcsbParams::update_heavy(),
+        let idle = || {
+            let mut b = ClusterBuilder::new(ClusterConfig {
+                seed: 8,
+                ..ClusterConfig::default()
+            });
+            b.add_host("quiet", GIB, 0, false);
+            b.build()
+        };
+        let end = SimTime::from_secs(2);
+        let (seen, _) = run(
+            &[to_deadline(busy, end), to_deadline(idle, end)],
+            2,
+            SimDuration::from_secs(1),
+            &mut NullCoordinator,
         );
-        busy_b.attach_workload(vm, client_host, crate::world::WorkloadKind::Ycsb(model));
-        busy_b.preload_layout(vm);
-        let mut busy = busy_b.build();
-        crate::build::start_all_workloads(&mut busy, SimTime::from_millis(10));
-
-        let mut idle_b = ClusterBuilder::new(ClusterConfig {
-            seed: 8,
-            ..ClusterConfig::default()
-        });
-        idle_b.add_host("quiet", GIB, 0, false);
-        let idle = idle_b.build();
-
-        let mut run = ShardedRun::new(vec![busy, idle], SimDuration::from_secs(1));
-        run.run(2, SimTime::from_secs(2), &mut NullCoordinator, |_, sim| {
-            sim.now() >= SimTime::from_secs(2)
-        });
-        let worlds = run.into_worlds();
-        assert!(worlds[0].state().netdrv.polls > 0, "busy shard polled");
+        assert!(seen[0].polls > 0, "busy shard polled");
         assert_eq!(
-            worlds[1].state().netdrv.polls,
-            0,
+            seen[1].polls, 0,
             "idle shard must schedule zero net-poll events"
         );
-        assert_eq!(worlds[1].state().netdrv.armed, None);
+        assert!(!seen[1].armed);
+    }
+
+    #[test]
+    fn a_done_shard_freezes_while_the_rest_run_to_the_deadline() {
+        // Both shards tick every 100 ms. Shard 0 is done from the first
+        // barrier on, so it must stop there; shard 1 never is.
+        fn ticking() -> Simulation<World> {
+            let mut sim = empty_world(4);
+            let period = SimDuration::from_millis(100);
+            sim.schedule_every(SimTime::ZERO + period, period, |_| true);
+            sim
+        }
+        let lookahead = SimDuration::from_secs(1);
+        let first_barrier = SimTime::ZERO + lookahead;
+        let deadline = SimTime::from_secs(3);
+        let mut alone = ticking();
+        alone.run_until(first_barrier);
+        let cfgs = [
+            Shard {
+                build: ticking,
+                done_at: first_barrier,
+                deadline,
+            },
+            to_deadline(ticking, deadline),
+        ];
+        for workers in [1, 2] {
+            let (seen, stats) = run(&cfgs, workers, lookahead, &mut NullCoordinator);
+            assert_eq!(seen[0].now, first_barrier, "workers={workers}");
+            assert_eq!(seen[0].events, alone.events_executed(), "workers={workers}");
+            assert_eq!(seen[1].now, deadline, "workers={workers}");
+            assert!(seen[1].events > seen[0].events, "workers={workers}");
+            assert_eq!(stats.epochs, 3);
+        }
     }
 }

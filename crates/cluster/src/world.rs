@@ -8,9 +8,9 @@
 //! the host SSDs ([`Host::ssd`]), the swap slot allocators
 //! ([`Host::swap_slots`], [`VmdSubsystem::allocators`]), the VMD clients
 //! ([`VmdClientEntry::client`]) and the VMD directory
-//! ([`VmdSubsystem::directory`]). They make `Simulation<World>` `!Send`;
-//! the argument that a world may still move between threads is the SAFETY
-//! comment on [`crate::shard::ShardCell`].
+//! ([`VmdSubsystem::directory`]). They make `Simulation<World>` `!Send`,
+//! so a world never leaves the thread that built it: each
+//! [`crate::shard::run`] worker builds, steps and finishes its own shards.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
